@@ -7,9 +7,8 @@ values win over defaults.  ``train`` and ``bench`` write a manifest in that
 same format (plus informational ``format.*`` / ``timing.*`` keys, ignored on
 load), so any run can be reproduced with ``--config <manifest>``.
 
-All randomness is seeded and row-level work is scheduled so results do not
-depend on ``--threads``; repeating a run from its manifest reproduces the
-data outputs byte for byte.
+All randomness is seeded, so repeating a run from its manifest reproduces
+the data outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 from . import codec, dataio, evaluation, mean_field
 from .energy_models import (
     TrainConfig,
+    check_dense_budget,
     em_ksh_train,
     em_lfh_train,
     em_splh_train,
@@ -61,6 +61,10 @@ class _Opt:
 _METHODS = ("em-ksh", "em-splh", "em-lfh")
 _CODE_FORMATS = ("text", "packed")
 _FEATURE_FORMATS = ("csv", "binary")
+_THREADS_HELP = (
+    "accepted so existing manifests keep loading; "
+    "changes neither the work done nor the outputs"
+)
 
 _OPTS: dict[str, list[_Opt]] = {
     "train": [
@@ -74,7 +78,7 @@ _OPTS: dict[str, list[_Opt]] = {
         _Opt("linear_range", float, 2.0, "sigmoid linearization half-interval"),
         _Opt("ridge", float, 1.0, "out-of-sample ridge strength"),
         _Opt("seed", int, 42, "initialization and sampling seed"),
-        _Opt("threads", int, 1, "worker cap for row-parallel stages"),
+        _Opt("threads", int, 1, _THREADS_HELP),
         _Opt("standardize", bool, True, "standardize features before use"),
         _Opt("codes_format", str, "text", "codes file layout", _CODE_FORMATS),
         _Opt("out_dir", str, None, "directory for codes, model and manifest", required=True),
@@ -106,7 +110,7 @@ _OPTS: dict[str, list[_Opt]] = {
         _Opt("sweeps", int, 3, "anchor sweeps"),
         _Opt("linear_range", float, 2.0, "sigmoid linearization half-interval"),
         _Opt("seed", int, 42, "synthetic data seed"),
-        _Opt("threads", int, 1, "worker cap"),
+        _Opt("threads", int, 1, _THREADS_HELP),
         _Opt("out", str, "", "timing table JSON output path (optional)"),
     ],
     "linearize": [
@@ -241,6 +245,8 @@ def run_train(cfg: RunConfig) -> int:
     method = cfg["method"]
     train_start = time.perf_counter()
     if method == "em-splh":
+        # Refuse oversize inputs before the n-by-n block is allocated.
+        check_dense_budget((dataset.n, dataset.n))
         sim = dataio.full_similarity(dataset.labels)
         tcfg = TrainConfig(
             bits=cfg["bits"], anchors=1, sweeps=cfg["sweeps"],
@@ -261,7 +267,7 @@ def run_train(cfg: RunConfig) -> int:
             linear_range=cfg["linear_range"], seed=cfg["seed"],
         )
         trainer = em_ksh_train if method == "em-ksh" else em_lfh_train
-        permuted = trainer(view, tcfg, lin, threads=cfg["threads"])
+        permuted = trainer(view, tcfg, lin)
         phi = np.empty_like(permuted)
         phi[order] = permuted
     train_seconds = time.perf_counter() - train_start
@@ -366,22 +372,9 @@ def run_bench(cfg: RunConfig) -> int:
     lin = mean_field.fit_linearization(cfg["linear_range"])
     rows: list[dict] = []
 
-    for n in grid_n:
-        anchors = min(cfg["anchors"], n)
-        dataset = dataio.Dataset(np.zeros((n, 1)), _bench_labels(n, cfg["seed"]))
-        view, _ = dataio.sample_similarity_columns(dataset, anchors, cfg["seed"])
-        tcfg = TrainConfig(
-            bits=cfg["bits"], anchors=anchors, sweeps=cfg["sweeps"],
-            linear_range=cfg["linear_range"], seed=cfg["seed"],
-        )
-        start = time.perf_counter()
-        em_ksh_train(view, tcfg, lin, threads=cfg["threads"])
-        elapsed = time.perf_counter() - start
-        rows.append({"grid": "n", "size": n, "train_seconds": elapsed})
-        print(f"grid=n size={n} anchors={anchors} train_seconds={elapsed:.3f}")
-
-    for bits in grid_d:
-        n = cfg["points"]
+    # Point-count cases vary n at --bits; code-length cases vary bits at --points.
+    cases = [("n", n, cfg["bits"]) for n in grid_n] + [("d", cfg["points"], d) for d in grid_d]
+    for grid, n, bits in cases:
         anchors = min(cfg["anchors"], n)
         dataset = dataio.Dataset(np.zeros((n, 1)), _bench_labels(n, cfg["seed"]))
         view, _ = dataio.sample_similarity_columns(dataset, anchors, cfg["seed"])
@@ -390,21 +383,24 @@ def run_bench(cfg: RunConfig) -> int:
             linear_range=cfg["linear_range"], seed=cfg["seed"],
         )
         start = time.perf_counter()
-        em_ksh_train(view, tcfg, lin, threads=cfg["threads"])
+        em_ksh_train(view, tcfg, lin)
         elapsed = time.perf_counter() - start
-        # Peak temporary memory of the one-shot tail stage alone.
-        anchor_phi = np.random.default_rng([cfg["seed"], bits]).random((anchors, bits))
-        tracemalloc.start()
-        ksh_tail_pass(anchor_phi, view, lin)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        rows.append(
-            {"grid": "d", "size": bits, "train_seconds": elapsed, "tail_peak_bytes": peak}
-        )
-        print(
-            f"grid=d size={bits} points={n} train_seconds={elapsed:.3f} "
-            f"tail_peak_bytes={peak}"
-        )
+        row = {"grid": grid, "size": n if grid == "n" else bits, "train_seconds": elapsed}
+        if grid == "n":
+            print(f"grid=n size={n} anchors={anchors} train_seconds={elapsed:.3f}")
+        else:
+            # Peak temporary memory of the one-shot tail stage alone.
+            anchor_phi = np.random.default_rng([cfg["seed"], bits]).random((anchors, bits))
+            tracemalloc.start()
+            ksh_tail_pass(anchor_phi, view, lin)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            row["tail_peak_bytes"] = peak
+            print(
+                f"grid=d size={bits} points={n} train_seconds={elapsed:.3f} "
+                f"tail_peak_bytes={peak}"
+            )
+        rows.append(row)
 
     for kind in ("n", "d"):
         series = [row for row in rows if row["grid"] == kind]

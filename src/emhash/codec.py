@@ -131,12 +131,11 @@ def encode(model: ProjectionModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.feature_dim,):
         raise ValueError(f"expected feature vector of length {model.feature_dim}, got {x.shape}")
-    projected = ((x - model.offset) * model.scale) @ model.weights
-    return np.where(projected >= model.thresholds, 1, -1).astype(np.int8)
+    return encode_batch(model, x[None])[0]
 
 
 def encode_batch(model: ProjectionModel, features: np.ndarray) -> np.ndarray:
-    """Encode a feature matrix row by row (empty input encodes to empty)."""
+    """Encode a feature matrix in one matrix product (empty input encodes to empty)."""
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-d, got shape {features.shape}")

@@ -246,7 +246,7 @@ def _similarity_block(row_labels: list, col_labels: list) -> np.ndarray:
     classes_r = _class_array(row_labels)
     classes_c = _class_array(col_labels)
     if classes_r is not None and classes_c is not None:
-        return np.where(classes_r[:, None] == classes_c[None, :], 1, -1).astype(np.int8)
+        return np.where(classes_r[:, None] == classes_c[None, :], np.int8(1), np.int8(-1))
     out = np.empty((len(row_labels), len(col_labels)), dtype=np.int8)
     for i, a in enumerate(row_labels):
         for j, b in enumerate(col_labels):

@@ -22,13 +22,12 @@ instead is tempting but unsound: the shared component of the evidence vectors
 then flips coherently from sweep to sweep and, when similar pairs are much
 rarer than dissimilar ones, the oscillation drowns the per-class signal.
 Sequential updates let each row react to the rows already moved, which keeps
-class structure intact; the cost is that sweeps cannot parallelize (the
-independent tail rows still can).
+class structure intact.  The supervised energies (ksh, lfh) share this
+schedule and differ only in how a row's system is built.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from .mean_field import (
     make_system,
     renormalize_and_squash,
     sigmoid,
-    solve_affine,
+    solve_affine,  # noqa: F401 -- alias the benchmark's tracer smoke test wraps and restores
     solve_row_system,
 )
 
@@ -57,6 +56,7 @@ __all__ = [
     "em_ksh_train",
     "splh_system",
     "em_splh_train",
+    "check_dense_budget",
     "variational_weight",
     "lfh_system",
     "em_lfh_train",
@@ -69,7 +69,7 @@ __all__ = [
 MAX_DENSE_POINTS = 5000
 
 # Rows of an integer similarity block are promoted to float in fixed-size
-# chunks so peak temporary memory stays bounded and thread-count independent.
+# chunks so peak temporary memory stays bounded.
 _CAST_CHUNK = 256
 
 
@@ -256,34 +256,6 @@ def batch_solve_shared(
     return out
 
 
-def _solve_supervised_row(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
-    """Row solve for energies whose evidence lives in the linear term.
-
-    A vanishing linear term means no observed similarity constrains the row,
-    so the uninformative 0.5 marginals are returned (the quadratic coupling
-    alone carries no supervision); the homogeneous eigen path is reserved
-    for energies that are homogeneous by construction.
-    """
-    if sys.scale == 0.0:
-        return np.full(sys.dim, 0.5)
-    if np.max(np.abs(sys.b)) < ZERO_TOL:
-        return np.full(sys.dim, 0.5)
-    if np.max(np.abs(sys.a)) < ZERO_TOL:
-        return sigmoid(sys.b / sys.scale)
-    v = solve_affine(sys, lin)
-    return renormalize_and_squash(v, sys.b, sys.scale, lin.half_range)
-
-
-def _run_rows(fn, count: int, threads: int) -> list[np.ndarray]:
-    # Each row is a pure function of shared read-only inputs, computed with
-    # identical per-row operations, so results cannot depend on the worker
-    # count or schedule.
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _resolve_linearization(cfg: TrainConfig, lin: LinearizedSigmoid | None) -> LinearizedSigmoid:
     if lin is None:
         return fit_linearization(cfg.linear_range)
@@ -296,10 +268,7 @@ def _resolve_linearization(cfg: TrainConfig, lin: LinearizedSigmoid | None) -> L
 
 
 def ksh_tail_pass(
-    phi_anchors: np.ndarray,
-    sim: SimilarityView,
-    lin: LinearizedSigmoid,
-    threads: int = 1,
+    phi_anchors: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid
 ) -> np.ndarray:
     """Solve every non-anchor row in one pass over the shared matrix."""
     bits = phi_anchors.shape[1]
@@ -313,31 +282,30 @@ def ksh_tail_pass(
         out[live] = sigmoid(b[live] / scales[live, None])
         return out
     eig = eigendecompose_shared(a)
-
-    def solve_one(i: int) -> np.ndarray:
-        if np.max(np.abs(b[i])) < ZERO_TOL:
-            return np.full(bits, 0.5)
-        v = batch_solve_shared(eig, b[i : i + 1], scales[i : i + 1], lin)[0]
-        return renormalize_and_squash(v, b[i], scales[i], lin.half_range)
-
-    return np.array(_run_rows(solve_one, n_tail, threads))
+    out = np.full((n_tail, bits), 0.5)
+    for i in range(n_tail):
+        if np.max(np.abs(b[i])) >= ZERO_TOL:
+            v = batch_solve_shared(eig, b[i : i + 1], scales[i : i + 1], lin)[0]
+            out[i] = renormalize_and_squash(v, b[i], scales[i], lin.half_range)
+    return out
 
 
-def em_ksh_train(
+def _train(
     sim: SimilarityView,
     cfg: TrainConfig,
-    lin: LinearizedSigmoid | None = None,
-    threads: int = 1,
+    lin: LinearizedSigmoid | None,
+    anchor_system,
+    tail_pass,
 ) -> np.ndarray:
-    """Learn soft codes for the squared-fit energy.
+    """The schedule shared by the supervised energies.
 
     Initializes all marginals uniformly at random from ``cfg.seed``, runs
-    ``cfg.sweeps`` sequential sweeps over the anchor rows (each row's system
-    built from the current marginals and its solution applied immediately),
-    then finishes the remaining rows in a single shared-matrix pass.
-    Deterministic given the seed, for any thread count.  An all-zero
-    similarity view degenerates to uniform 0.5 marginals rather than
-    failing.
+    ``cfg.sweeps`` sequential sweeps over the anchor rows (each row's
+    system, ``anchor_system(phi_anchors, sim, row, half_range)``, built from
+    the current marginals and its solution applied immediately), then
+    finishes the remaining rows with ``tail_pass(phi, sim, lin)``.  A row
+    without evidence (b ~ 0) gets the uninformative 0.5 marginals: the
+    quadratic coupling alone carries no supervision.
     """
     lin = _resolve_linearization(cfg, lin)
     if cfg.anchors != sim.m:
@@ -347,11 +315,27 @@ def em_ksh_train(
     m = sim.m
     for _ in range(cfg.sweeps):
         for i in range(m):
-            sys = ksh_anchor_system(phi[:m], sim, i, lin.half_range)
-            phi[i] = _solve_supervised_row(sys, lin)
+            sys = anchor_system(phi[:m], sim, i, lin.half_range)
+            phi[i] = solve_row_system(sys, lin, homogeneous=False)
     if sim.n > m:
-        phi[m:] = ksh_tail_pass(phi[:m], sim, lin, threads=threads)
+        phi[m:] = tail_pass(phi, sim, lin)
     return phi
+
+
+def em_ksh_train(
+    sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid | None = None
+) -> np.ndarray:
+    """Learn soft codes for the squared-fit energy.
+
+    Sequential anchor sweeps over :func:`ksh_anchor_system`, then one
+    shared-matrix pass over the remaining rows (:func:`ksh_tail_pass`).
+    Deterministic given the seed.  An all-zero similarity view degenerates
+    to uniform 0.5 marginals rather than failing.
+    """
+    return _train(
+        sim, cfg, lin, ksh_anchor_system,
+        lambda phi, sim, lin: ksh_tail_pass(phi[: sim.m], sim, lin),
+    )
 
 
 def splh_system(sim_full: np.ndarray, bit: int = 0, half_range: float = 2.0) -> RowSystem:
@@ -373,6 +357,15 @@ def splh_system(sim_full: np.ndarray, bit: int = 0, half_range: float = 2.0) -> 
     return make_system(s, np.zeros(s.shape[0]), half_range)
 
 
+def check_dense_budget(shape: tuple) -> None:
+    """Refuse a dense similarity of ``shape`` past the one-shot solve's budget."""
+    if len(shape) != 2 or shape[0] > MAX_DENSE_POINTS:
+        raise ValueError(
+            f"dense one-shot solve supports at most {MAX_DENSE_POINTS} points, "
+            f"got shape {shape}"
+        )
+
+
 def em_splh_train(
     sim_full: np.ndarray,
     cfg: TrainConfig,
@@ -385,11 +378,7 @@ def em_splh_train(
     """
     lin = _resolve_linearization(cfg, lin)
     raw = np.asarray(sim_full)
-    if raw.ndim != 2 or raw.shape[0] > MAX_DENSE_POINTS:
-        raise ValueError(
-            f"dense one-shot solve supports at most {MAX_DENSE_POINTS} points, "
-            f"got shape {raw.shape}"
-        )
+    check_dense_budget(raw.shape)
     s = raw.astype(float)
     if s.size == 0 or np.max(np.abs(s)) == 0.0:
         raise ValueError("all-zero similarity admits no solution")
@@ -457,39 +446,29 @@ def lfh_system(
     return _lfh_build(others, s_row, x[anchor], half_range, xi_override)
 
 
+def _lfh_tail_pass(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> np.ndarray:
+    # Pair weights depend on both endpoints, so tail rows share no matrix:
+    # each builds and solves its own small system against the anchor block.
+    m = sim.m
+    x = 2.0 * phi - 1.0
+    tail_s = sim.s[m:, :].astype(float)
+    return np.array([
+        solve_row_system(
+            _lfh_build(x[:m], tail_s[i], x[m + i], lin.half_range, None), lin, homogeneous=False
+        )
+        for i in range(sim.n - m)
+    ])
+
+
 def em_lfh_train(
-    sim: SimilarityView,
-    cfg: TrainConfig,
-    lin: LinearizedSigmoid | None = None,
-    threads: int = 1,
+    sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid | None = None
 ) -> np.ndarray:
     """Learn soft codes for the logistic energy.
 
-    Same schedule as :func:`em_ksh_train`, but the pair weights depend on
-    both endpoints, so tail rows do not share a matrix and each one builds
-    and solves its own small system in the final (parallelizable) pass.
+    Same schedule as :func:`em_ksh_train` over :func:`lfh_system`, but the
+    tail rows are solved one system each.
     """
-    lin = _resolve_linearization(cfg, lin)
-    if cfg.anchors != sim.m:
-        raise ValueError(f"config declares {cfg.anchors} anchors but view has {sim.m}")
-    rng = np.random.default_rng(cfg.seed)
-    phi = rng.random((sim.n, cfg.bits))
-    m = sim.m
-    for _ in range(cfg.sweeps):
-        for i in range(m):
-            sys = lfh_system(phi[:m], sim, i, lin.half_range)
-            phi[i] = _solve_supervised_row(sys, lin)
-    if sim.n > m:
-        anchors_x = 2.0 * phi[:m] - 1.0
-        tail_x = 2.0 * phi[m:] - 1.0
-        tail_s = sim.s[m:, :].astype(float)
-
-        def tail_one(i: int) -> np.ndarray:
-            sys = _lfh_build(anchors_x, tail_s[i], tail_x[i], lin.half_range, None)
-            return _solve_supervised_row(sys, lin)
-
-        phi[m:] = np.array(_run_rows(tail_one, sim.n - m, threads))
-    return phi
+    return _train(sim, cfg, lin, lfh_system, _lfh_tail_pass)
 
 
 def _validate_codes_and_similarity(codes: np.ndarray, sim_full: np.ndarray):

@@ -87,9 +87,14 @@ def average_precision(ranking: np.ndarray, relevant: np.ndarray) -> float:
     ranking = np.asarray(ranking)
     relevant = np.asarray(relevant, dtype=bool)
     hits = relevant[ranking]
-    total = int(hits.sum())
-    if total == 0:
+    if not hits.any():
         raise ValueError("average precision needs at least one relevant item")
+    return _ap_from_hits(hits)
+
+
+def _ap_from_hits(hits: np.ndarray) -> float:
+    # Relevance flags in ranking order, at least one set: the rank of a hit
+    # is its index plus one.
     cum = np.cumsum(hits)
     ranks = np.flatnonzero(hits) + 1
     return float(np.mean(cum[ranks - 1] / ranks))
@@ -97,13 +102,13 @@ def average_precision(ranking: np.ndarray, relevant: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RankingResult:
-    """Per-query rankings and precisions plus their mean.
+    """Query count and per-query precisions plus their mean.
 
     Queries with no relevant database item are excluded from the mean and
     counted in ``skipped``; their entries in ``per_query_ap`` are NaN.
     """
 
-    rankings: list
+    queries: int
     per_query_ap: np.ndarray
     mean_ap: float
     skipped: int
@@ -134,14 +139,12 @@ def mean_average_precision(
     if exclude_self and query_codes.shape[0] != db_codes.shape[0]:
         raise ValueError("self-exclusion requires query set == database set")
 
-    rankings = []
     aps = np.full(query_codes.shape[0], np.nan)
     skipped = 0
     for qi in range(query_codes.shape[0]):
         ranking = hamming_rank(query_codes[qi], db_codes)
         if exclude_self:
             ranking = ranking[ranking != qi]
-        rankings.append(ranking)
         rel = np.fromiter(
             (label_similarity(query_labels[qi], db_labels[j]) == 1 for j in ranking),
             dtype=bool,
@@ -150,15 +153,12 @@ def mean_average_precision(
         if not rel.any():
             skipped += 1
             continue
-        # The flags are already in ranking order, so rank within equals index.
-        cum = np.cumsum(rel)
-        ranks = np.flatnonzero(rel) + 1
-        aps[qi] = float(np.mean(cum[ranks - 1] / ranks))
+        aps[qi] = _ap_from_hits(rel)
     valid = ~np.isnan(aps)
     if not valid.any():
         raise ValueError("no query has any relevant database item")
     return RankingResult(
-        rankings=rankings,
+        queries=query_codes.shape[0],
         per_query_ap=aps,
         mean_ap=float(aps[valid].mean()),
         skipped=skipped,
@@ -268,7 +268,7 @@ def metrics_lines(result: RankingResult) -> list[str]:
     valid = result.per_query_ap[~np.isnan(result.per_query_ap)]
     return [
         f"map={result.mean_ap:.6f}",
-        f"queries={len(result.rankings)}",
+        f"queries={result.queries}",
         f"skipped_queries={result.skipped}",
         f"ap_min={valid.min():.6f}",
         f"ap_median={float(np.median(valid)):.6f}",
@@ -286,7 +286,7 @@ def write_metrics_json(path: str | Path, result: RankingResult, extra: dict | No
     payload = {
         "schema": METRICS_SCHEMA,
         "map": result.mean_ap,
-        "queries": len(result.rankings),
+        "queries": result.queries,
         "skipped_queries": result.skipped,
         "per_query_ap": [None if np.isnan(v) else float(v) for v in result.per_query_ap],
     }

@@ -302,7 +302,9 @@ def renormalize_and_squash(
     return sigmoid(vp)
 
 
-def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
+def solve_row_system(
+    sys: RowSystem, lin: LinearizedSigmoid, *, homogeneous: bool = True
+) -> np.ndarray:
     """Solve one consistency system end to end.
 
     Dispatch:
@@ -311,12 +313,18 @@ def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
     * ``A ~ 0`` with b != 0: the consistency equation is already explicit,
       ``sigmoid(b / scale)`` (the scale construction bounds the argument,
       so no re-normalization is needed and none is applied).
-    * b == 0: homogeneous eigenvector path, then re-normalize and squash.
+    * b == 0: with ``homogeneous`` (energies that are homogeneous by
+      construction), the homogeneous eigenvector path, then re-normalize
+      and squash; without it (energies whose evidence lives in b), no
+      observed similarity constrains the row and the uniform 0.5
+      marginals are returned.
     * otherwise: affine closed-form path, then re-normalize and squash.
     """
     if sys.scale == 0.0:
         return np.full(sys.dim, 0.5)
     if np.max(np.abs(sys.b)) < ZERO_TOL:
+        if not homogeneous:
+            return np.full(sys.dim, 0.5)
         v = solve_homogeneous(sys, lin)
         return renormalize_and_squash(v, sys.b, sys.scale, lin.half_range)
     if np.max(np.abs(sys.a)) < ZERO_TOL:

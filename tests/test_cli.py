@@ -196,6 +196,27 @@ class TestEval:
         assert "labels" in capsys.readouterr().err
 
 
+class TestDenseBudget:
+    def test_splh_refuses_before_building_the_dense_block(self, tmp_path, capsys, monkeypatch):
+        from emhash import dataio
+
+        def forbidden(labels):
+            raise AssertionError("full_similarity called past the dense budget")
+
+        monkeypatch.setattr(dataio, "full_similarity", forbidden)
+        data = tmp_path / "big.csv"
+        write_feature_csv(data, np.arange(5001.0)[:, None], [i % 2 for i in range(5001)])
+        code = main([
+            "train", "--features", str(data), "--method", "em-splh", "--bits", "4",
+            "--out-dir", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "at most 5000 points" in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestBench:
     def test_point_grid_reports_ratio(self, tmp_path, capsys):
         table = tmp_path / "table.json"

@@ -209,16 +209,6 @@ class TestEmKshTrain:
         second = em_ksh_train(view, cfg, LIN)
         np.testing.assert_array_equal(first, second)
 
-    def test_thread_count_does_not_change_bits(self):
-        rng = np.random.default_rng(8)
-        s, _ = two_class_similarity(rng, 40)
-        view = SimilarityView(s=s[:, :16])
-        cfg = TrainConfig(bits=6, anchors=16, sweeps=2, seed=1)
-        np.testing.assert_array_equal(
-            em_ksh_train(view, cfg, LIN, threads=1),
-            em_ksh_train(view, cfg, LIN, threads=4),
-        )
-
     def test_all_zero_similarity_gives_uniform_marginals(self):
         view = SimilarityView(s=np.zeros((10, 4), dtype=np.int8))
         cfg = TrainConfig(bits=3, anchors=4, sweeps=2, seed=0)
@@ -376,7 +366,7 @@ class TestLfh:
         view = SimilarityView(s=s[:, :18])
         cfg = TrainConfig(bits=8, anchors=18, sweeps=3, seed=4)
         phi = em_lfh_train(view, cfg, LIN)
-        np.testing.assert_array_equal(phi, em_lfh_train(view, cfg, LIN, threads=3))
+        np.testing.assert_array_equal(phi, em_lfh_train(view, cfg, LIN))
         codes, _ = round_codes(phi)
         result = mean_average_precision(codes, labels, codes, labels, exclude_self=True)
         assert result.mean_ap > 0.95

@@ -334,6 +334,16 @@ class TestSolveRowSystem:
         expected = renormalize_and_squash(solve_homogeneous(sys, lin), sys.b, sys.scale, 2.0)
         np.testing.assert_array_equal(solve_row_system(sys, lin), expected)
 
+    def test_supervised_policy_gives_uniform_row_without_evidence(self):
+        """b == 0 with a live coupling: no supervision, so no eigen path."""
+        rng = np.random.default_rng(41)
+        lin = fit_linearization(2.0)
+        a = rng.normal(size=(4, 4))
+        a = np.triu(a) + np.triu(a, 1).T
+        sys = make_system(a, np.zeros(4), 2.0)
+        out = solve_row_system(sys, lin, homogeneous=False)
+        np.testing.assert_array_equal(out, np.full(4, 0.5))
+
     def test_explicit_equation_when_matrix_vanishes(self):
         """With no coupling the consistency equation needs no transformation."""
         lin = fit_linearization(2.0)
