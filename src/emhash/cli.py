@@ -229,10 +229,10 @@ def _load_training_dataset(cfg: RunConfig) -> dataio.Dataset:
 def run_train(cfg: RunConfig) -> int:
     total_start = time.perf_counter()
     dataset = _load_training_dataset(cfg)
-    if dataset.labels is None or all(label is None for label in dataset.labels):
-        raise CliError("training requires labeled points")
     if dataset.n < 1:
         raise CliError("training requires at least one point")
+    if dataset.labels is None or all(label is None for label in dataset.labels):
+        raise CliError("training requires labeled points")
 
     if cfg["standardize"]:
         feats, offset, scale = dataio.standardize_features(dataset.features)

@@ -172,6 +172,8 @@ def load_projection(path: str | Path) -> ProjectionModel:
     raw = Path(path).read_bytes()
     if raw[:8] != MODEL_MAGIC:
         raise ValueError(f"{path}: bad magic, not a projection model file")
+    if len(raw) < 24:
+        raise ValueError(f"{path}: truncated header")
     header = np.frombuffer(raw, dtype="<u8", count=2, offset=8)
     p, d = int(header[0]), int(header[1])
     need = 8 + 16 + 8 * (p * d + d + p + p)

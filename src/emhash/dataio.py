@@ -7,6 +7,13 @@ sampled point-by-anchor block -- with the usual semantics: same class or at
 least one shared tag means similar, disjoint means dissimilar, and a missing
 label on either side means unobserved.
 
+Every similarity array -- the anchor block, the dense em-splh matrix and the
+relevance blocks of evaluation -- comes from one builder,
+:func:`similarity_block`.  It reads labels encoded once by
+:func:`index_labels` into tag -> positions lists, where a class id ``c``
+counts as the singleton tag set ``{c}`` and unlabeled positions are listed
+apart.  :func:`label_similarity` is the scalar definition it reproduces.
+
 Binary layouts (all little-endian, magic first for corruption detection):
 
 * feature matrix ``EMHMAT01``: magic, u64 rows, u64 columns, then
@@ -37,7 +44,8 @@ __all__ = [
     "write_label_file",
     "standardize_features",
     "label_similarity",
-    "similarity_from_labels",
+    "index_labels",
+    "similarity_block",
     "full_similarity",
     "sample_similarity_columns",
     "write_codes",
@@ -82,14 +90,17 @@ class Dataset:
         return self.features.shape[0]
 
 
-def _parse_label(token: str) -> Label:
+def _parse_label(token: str, path: str | Path, lineno: int) -> Label:
     token = token.strip()
-    if not token:
-        return None
-    if ";" in token:
-        tags = frozenset(int(part) for part in token.split(";") if part.strip())
-        return tags if tags else None
-    return int(token)
+    try:
+        if not token:
+            return None
+        if ";" in token:
+            tags = frozenset(int(part) for part in token.split(";") if part.strip())
+            return tags if tags else None
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: bad label {token!r}") from None
 
 
 def _format_label(label: Label) -> str:
@@ -127,7 +138,7 @@ def load_feature_matrix(path: str | Path, fmt: str = "csv", labeled: bool = Fals
         if labeled:
             if len(fields) < 2:
                 raise ValueError(f"{path}:{lineno}: labeled rows need at least 2 fields")
-            labels.append(_parse_label(fields[-1]))
+            labels.append(_parse_label(fields[-1], path, lineno))
             fields = fields[:-1]
         if width is None:
             width = len(fields)
@@ -190,7 +201,7 @@ def load_label_file(path: str | Path) -> list:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
-    return [_parse_label(line) for line in lines]
+    return [_parse_label(line, path, lineno) for lineno, line in enumerate(lines, start=1)]
 
 
 def write_label_file(path: str | Path, labels: list) -> None:
@@ -228,29 +239,30 @@ def label_similarity(a: Label, b: Label) -> int:
     return 1 if a == b else -1
 
 
-def similarity_from_labels(dataset: Dataset, i: int, j: int) -> int:
-    """Similarity of points i and j of a labeled dataset."""
-    if dataset.labels is None:
-        raise ValueError("dataset carries no labels")
-    return label_similarity(dataset.labels[i], dataset.labels[j])
+def index_labels(labels: list) -> tuple[int, dict, np.ndarray]:
+    """Encode labels once as (size, tag -> ascending positions, unlabeled positions)."""
+    tags: dict = {}
+    unlabeled = []
+    for k, label in enumerate(labels):
+        if label is None:
+            unlabeled.append(k)
+            continue
+        for tag in label if isinstance(label, frozenset) else (label,):
+            tags.setdefault(tag, []).append(k)
+    arrays = {tag: np.array(ks, dtype=np.intp) for tag, ks in tags.items()}
+    return len(labels), arrays, np.array(unlabeled, dtype=np.intp)
 
 
-def _class_array(labels: list) -> np.ndarray | None:
-    # Fast path: every point carries a plain class id.
-    if all(isinstance(l, int) and not isinstance(l, bool) for l in labels):
-        return np.array(labels, dtype=np.int64)
-    return None
-
-
-def _similarity_block(row_labels: list, col_labels: list) -> np.ndarray:
-    classes_r = _class_array(row_labels)
-    classes_c = _class_array(col_labels)
-    if classes_r is not None and classes_c is not None:
-        return np.where(classes_r[:, None] == classes_c[None, :], np.int8(1), np.int8(-1))
-    out = np.empty((len(row_labels), len(col_labels)), dtype=np.int8)
-    for i, a in enumerate(row_labels):
-        for j, b in enumerate(col_labels):
-            out[i, j] = label_similarity(a, b)
+def similarity_block(rows: tuple, cols: tuple) -> np.ndarray:
+    """Int8 block whose entry (i, j) is :func:`label_similarity` of row i, column j."""
+    n_rows, row_tags, row_unlabeled = rows
+    n_cols, col_tags, col_unlabeled = cols
+    out = np.full((n_rows, n_cols), -1, dtype=np.int8)
+    for tag, positions in row_tags.items():
+        if tag in col_tags:
+            out[np.ix_(positions, col_tags[tag])] = 1
+    out[row_unlabeled] = 0
+    out[:, col_unlabeled] = 0
     return out
 
 
@@ -258,7 +270,8 @@ def full_similarity(labels: list) -> np.ndarray:
     """Square similarity matrix of a label list, entries in {-1, 0, +1}."""
     if len(labels) ** 2 > MAX_DENSE_ENTRIES:
         raise ValueError("full similarity matrix would exceed the dense budget")
-    return _similarity_block(labels, labels)
+    index = index_labels(labels)
+    return similarity_block(index, index)
 
 
 def sample_similarity_columns(dataset: Dataset, m: int, seed: int):
@@ -285,8 +298,7 @@ def sample_similarity_columns(dataset: Dataset, m: int, seed: int):
     rest = np.setdiff1d(np.arange(n), anchors, assume_unique=True)
     order = np.concatenate([anchors, rest])
     ordered_labels = [dataset.labels[k] for k in order]
-    anchor_labels = [dataset.labels[k] for k in anchors]
-    block = _similarity_block(ordered_labels, anchor_labels)
+    block = similarity_block(index_labels(ordered_labels), index_labels(ordered_labels[:m]))
     return SimilarityView(s=block), order
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import label_similarity
+from .dataio import index_labels, similarity_block
 from .energy_models import TrainConfig
 from .mean_field import sigmoid
 
@@ -45,6 +45,8 @@ METRICS_SCHEMA = "emhash-metrics/1"
 # production path, and its dense quadratic cost is only acceptable on small
 # instances.
 ORACLE_MAX_POINTS = 2000
+
+RELEVANCE_BLOCK = 64  # queries per relevance block of mean_average_precision
 
 
 def _as_codes(codes: np.ndarray) -> np.ndarray:
@@ -124,9 +126,12 @@ def mean_average_precision(
     """Mean average precision of Hamming rankings under label relevance.
 
     A database item is relevant to a query iff their labels are similar
-    (+1).  With ``exclude_self=True`` query i and database item i are taken
-    to be the same point and that exact index is dropped from the ranking
-    (queries drawn from the database should not retrieve themselves).
+    (+1).  The database labels are encoded once and relevance is filled for
+    blocks of ``RELEVANCE_BLOCK`` queries at a time, so memory stays
+    O(RELEVANCE_BLOCK * database size) at any query count.  With
+    ``exclude_self=True`` query i and database item i are taken to be the
+    same point and that exact index is dropped from the ranking (queries
+    drawn from the database should not retrieve themselves).
     """
     query_codes = _as_codes(query_codes)
     db_codes = _as_codes(db_codes)
@@ -140,20 +145,17 @@ def mean_average_precision(
         raise ValueError("self-exclusion requires query set == database set")
 
     aps = np.full(query_codes.shape[0], np.nan)
-    skipped = 0
+    db_index = index_labels(db_labels)
     for qi in range(query_codes.shape[0]):
+        if qi % RELEVANCE_BLOCK == 0:
+            block = index_labels(query_labels[qi : qi + RELEVANCE_BLOCK])
+            relevant = similarity_block(block, db_index) == 1
         ranking = hamming_rank(query_codes[qi], db_codes)
         if exclude_self:
             ranking = ranking[ranking != qi]
-        rel = np.fromiter(
-            (label_similarity(query_labels[qi], db_labels[j]) == 1 for j in ranking),
-            dtype=bool,
-            count=ranking.size,
-        )
-        if not rel.any():
-            skipped += 1
-            continue
-        aps[qi] = _ap_from_hits(rel)
+        hits = relevant[qi % RELEVANCE_BLOCK, ranking]
+        if hits.any():
+            aps[qi] = _ap_from_hits(hits)
     valid = ~np.isnan(aps)
     if not valid.any():
         raise ValueError("no query has any relevant database item")
@@ -161,7 +163,7 @@ def mean_average_precision(
         queries=query_codes.shape[0],
         per_query_ap=aps,
         mean_ap=float(aps[valid].mean()),
-        skipped=skipped,
+        skipped=int((~valid).sum()),
     )
 
 

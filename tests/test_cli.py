@@ -70,6 +70,23 @@ class TestTrain:
         assert "not found" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_empty_feature_file_is_refused_before_label_checks(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code = main(["train", "--features", str(empty), "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "at least one point" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_label_token_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("1,2,0\n3,4,x\n")
+        code = main(["train", "--features", str(data), "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{data}:2: bad label 'x'" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_splh_warns_about_identical_bits(self, tmp_path, capsys):
         data = synth(tmp_path)
         out_dir = tmp_path / "splh"
@@ -150,6 +167,19 @@ class TestEncode:
             "--queries", str(empty), "--out", str(out),
         ]) == 0
         assert read_codes(out).shape[0] == 0
+
+    def test_model_shorter_than_its_header(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        out_dir = train(tmp_path, data)
+        model = out_dir / "model.emh"
+        model.write_bytes(model.read_bytes()[:20])
+        code = main([
+            "encode", "--model", str(model), "--queries", str(data),
+            "--queries-labeled", "--out", str(tmp_path / "enc.txt"),
+        ])
+        assert code == 1
+        assert f"{model}: truncated header" in capsys.readouterr().err
+        assert not (tmp_path / "enc.txt").exists()
 
     def test_feature_dimension_mismatch(self, tmp_path, capsys):
         data = synth(tmp_path)

@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from emhash.dataio import (
     Dataset,
     full_similarity,
+    index_labels,
     label_similarity,
     load_feature_matrix,
     load_label_file,
     read_codes,
     sample_similarity_columns,
-    similarity_from_labels,
+    similarity_block,
     standardize_features,
     synthesize_clusters,
     write_codes,
@@ -35,6 +38,12 @@ class TestCsvLoading:
         dataset = load_feature_matrix(path, "csv", labeled=True)
         assert dataset.features.shape == (4, 2)
         assert dataset.labels == [5, frozenset({1, 7}), None, frozenset({9})]
+
+    def test_bad_label_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,5\n3,4,x\n")
+        with pytest.raises(ValueError, match=r"m\.csv:2: bad label 'x'$"):
+            load_feature_matrix(path, "csv", labeled=True)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -94,6 +103,18 @@ class TestLabelFiles:
         write_label_file(path, labels)
         assert load_label_file(path) == labels
 
+    def test_bad_token_names_file_and_line(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("3\n\nfoo\n")
+        with pytest.raises(ValueError, match=r"labels\.txt:3: bad label 'foo'$"):
+            load_label_file(path)
+
+    def test_bad_tag_names_file_and_line(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("1;foo\n")
+        with pytest.raises(ValueError, match=r"labels\.txt:1: bad label '1;foo'$"):
+            load_label_file(path)
+
 
 class TestStandardize:
     def test_zero_mean_unit_variance(self):
@@ -124,21 +145,18 @@ class TestSimilarity:
         assert label_similarity(None, 3) == 0
         assert label_similarity(frozenset({1}), None) == 0
 
+    POOL = [0, 1, 2, None, frozenset({0}), frozenset({0, 1}), frozenset({2, 3})]
+
     def test_self_similarity(self):
-        dataset = Dataset(np.zeros((2, 1)), [7, frozenset({1, 2})])
-        assert similarity_from_labels(dataset, 0, 0) == 1
-        assert similarity_from_labels(dataset, 1, 1) == 1
+        s = full_similarity(self.POOL)
+        expected = [0 if label is None else 1 for label in self.POOL]
+        np.testing.assert_array_equal(np.diag(s), expected)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
-        pool = [0, 1, 2, None, frozenset({0}), frozenset({0, 1}), frozenset({2, 3})]
-        labels = [pool[i] for i in rng.integers(0, len(pool), size=12)]
-        dataset = Dataset(np.zeros((12, 1)), labels)
-        for i in range(12):
-            for j in range(12):
-                assert similarity_from_labels(dataset, i, j) == similarity_from_labels(
-                    dataset, j, i
-                )
+        labels = [self.POOL[i] for i in rng.integers(0, len(self.POOL), size=12)]
+        s = full_similarity(labels)
+        np.testing.assert_array_equal(s, s.T)
 
     def test_full_matrix_matches_pairwise(self):
         labels = [0, 1, 0, None, 1]
@@ -146,6 +164,33 @@ class TestSimilarity:
         for i in range(5):
             for j in range(5):
                 assert s[i, j] == label_similarity(labels[i], labels[j])
+
+
+# Class ids, tag sets (the empty one too) and missing labels, mixed freely.
+LABELS = st.one_of(
+    st.none(),
+    st.integers(0, 5),
+    st.frozensets(st.integers(0, 5), max_size=3),
+)
+
+
+class TestSimilarityBlock:
+    @given(st.lists(LABELS, max_size=12), st.lists(LABELS, max_size=12))
+    def test_rectangular_block_matches_scalar_definition(self, rows, cols):
+        block = similarity_block(index_labels(rows), index_labels(cols))
+        assert block.dtype == np.int8 and block.shape == (len(rows), len(cols))
+        expected = [[label_similarity(a, b) for b in cols] for a in rows]
+        np.testing.assert_array_equal(block, np.array(expected, dtype=np.int8).reshape(block.shape))
+
+    @given(st.lists(LABELS, max_size=16))
+    def test_square_matrix_matches_scalar_definition(self, labels):
+        s = full_similarity(labels)
+        expected = [[label_similarity(a, b) for b in labels] for a in labels]
+        np.testing.assert_array_equal(s, np.array(expected, dtype=np.int8).reshape(s.shape))
+
+    def test_empty_tag_set_is_labeled_but_similar_to_nothing(self):
+        s = full_similarity([frozenset(), 0, None])
+        np.testing.assert_array_equal(s, [[-1, -1, 0], [-1, 1, 0], [0, 0, 0]])
 
 
 class TestAnchorSampling:

@@ -1,10 +1,12 @@
 """Tests for Hamming ranking, mean average precision and the oracles."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from emhash.dataio import label_similarity
 from emhash.energy_models import SimilarityView, TrainConfig, em_ksh_train, splh_energy
 from emhash.evaluation import (
     average_precision,
@@ -12,6 +14,7 @@ from emhash.evaluation import (
     fixed_point_oracle,
     hamming_distances,
     hamming_rank,
+    RELEVANCE_BLOCK,
     ksh_row_consistency,
     mean_average_precision,
     metrics_lines,
@@ -79,7 +82,79 @@ class TestAveragePrecision:
             average_precision(np.arange(3), np.zeros(3, bool))
 
 
+def scalar_per_query_ap(query_codes, query_labels, db_codes, db_labels, exclude_self=False):
+    """Per-query AP with relevance taken from label_similarity pair by pair.
+
+    The reference the blocked relevance of mean_average_precision must match;
+    NaN marks a query with no relevant database item.
+    """
+    aps = np.full(len(query_labels), np.nan)
+    for qi in range(len(query_labels)):
+        ranking = hamming_rank(query_codes[qi], db_codes)
+        if exclude_self:
+            ranking = ranking[ranking != qi]
+        rel = np.fromiter(
+            (label_similarity(query_labels[qi], db_labels[j]) == 1 for j in ranking),
+            dtype=bool,
+            count=ranking.size,
+        )
+        if rel.any():
+            aps[qi] = average_precision(np.arange(rel.size), rel)
+    return aps
+
+
+def _label_pool(kind, rng, n):
+    if kind == "class":
+        return [int(v) for v in rng.integers(0, 4, size=n)]
+    pool = [frozenset({0}), frozenset({1, 2}), frozenset({2, 3}), frozenset({4})]
+    if kind == "partly-unlabeled":
+        pool += [None, 1, frozenset()]
+    return [pool[i] for i in rng.integers(0, len(pool), size=n)]
+
+
 class TestMeanAveragePrecision:
+    @pytest.mark.parametrize("kind", ["class", "tags", "partly-unlabeled"])
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_per_query_ap_matches_scalar_oracle(self, kind, exclude_self):
+        rng = np.random.default_rng(10)
+        # More queries than one relevance block, so block edges are crossed.
+        n = RELEVANCE_BLOCK + 37
+        db = rng.choice([-1, 1], size=(n, 6)).astype(np.int8)
+        db_labels = _label_pool(kind, rng, n)
+        if exclude_self:
+            queries, query_labels = db, db_labels
+        else:
+            queries = rng.choice([-1, 1], size=(n, 6)).astype(np.int8)
+            query_labels = _label_pool(kind, rng, n)
+        expected = scalar_per_query_ap(queries, query_labels, db, db_labels, exclude_self)
+        result = mean_average_precision(queries, query_labels, db, db_labels, exclude_self)
+        np.testing.assert_array_equal(result.per_query_ap, expected)
+        assert result.skipped == int(np.isnan(expected).sum())
+        if kind == "partly-unlabeled":
+            assert result.skipped > 0
+
+    def test_relevance_memory_does_not_grow_with_query_count(self):
+        rng = np.random.default_rng(11)
+        db = rng.choice([-1, 1], size=(4000, 4)).astype(np.int8)
+        db_labels = [int(v) for v in rng.integers(0, 8, size=4000)]
+
+        def peak(queries):
+            codes = rng.choice([-1, 1], size=(queries, 4)).astype(np.int8)
+            labels = [int(v) for v in rng.integers(0, 8, size=queries)]
+            tracemalloc.start()
+            try:
+                mean_average_precision(codes, labels, db, db_labels)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(RELEVANCE_BLOCK), peak(8 * RELEVANCE_BLOCK)
+        # A block's int8 similarities and bool flags take RELEVANCE_BLOCK * 4000
+        # bytes each, and one block's flags stay alive while the next block is
+        # filled.  Unblocked, the larger run would hold eight blocks of each.
+        assert large < small + 2 * RELEVANCE_BLOCK * 4000
+
+
     def test_perfect_separation(self):
         codes = np.array([[1, 1], [1, 1], [-1, -1], [-1, -1]], dtype=np.int8)
         labels = [0, 0, 1, 1]
