@@ -16,11 +16,12 @@ per-row consistency systems solved in closed form by :mod:`emhash.mean_field`:
 Training samples anchor columns of the similarity matrix: anchor rows are
 refined over a few sequential sweeps (each row re-solved against the current
 state of the others, in index order), then all remaining rows share one
-system matrix and are solved in a single pass through its eigendecomposition,
-one small vector of work per row.  Updating the anchor rows simultaneously
-instead is tempting but unsound: the shared component of the evidence vectors
-then flips coherently from sweep to sweep and, when similar pairs are much
-rarer than dissimilar ones, the oscillation drowns the per-class signal.
+system matrix, so they are solved together in its eigenbasis: two matrix
+products and one squash per fixed-size block of rows.  Updating the anchor
+rows simultaneously instead is tempting but unsound: the shared component of
+the evidence vectors then flips coherently from sweep to sweep and, when
+similar pairs are much rarer than dissimilar ones, the oscillation drowns the
+per-class signal.
 Sequential updates let each row react to the rows already moved, which keeps
 class structure intact.  The supervised energies (ksh, lfh) share this
 schedule and differ only in how a row's system is built.
@@ -36,6 +37,7 @@ from .mean_field import (
     ZERO_TOL,
     LinearizedSigmoid,
     RowSystem,
+    build_scale,
     fit_linearization,
     make_system,
     renormalize_and_squash,
@@ -68,9 +70,9 @@ __all__ = [
 # one-shot path is out of its depth and the caller should sample anchors.
 MAX_DENSE_POINTS = 5000
 
-# Rows of an integer similarity block are promoted to float in fixed-size
-# chunks so peak temporary memory stays bounded.
-_CAST_CHUNK = 256
+# Tail rows are cast and solved in fixed blocks of this many rows, independent
+# of input and thread count, so peak temporary memory stays bounded.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +161,9 @@ def _mirror_upper(g: np.ndarray) -> np.ndarray:
 def _cast_matmul(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``block.astype(float) @ x`` with bounded, fixed-size cast buffers."""
     out = np.empty((block.shape[0], x.shape[1]))
-    for start in range(0, block.shape[0], _CAST_CHUNK):
-        stop = min(start + _CAST_CHUNK, block.shape[0])
-        out[start:stop] = block[start:stop].astype(float) @ x
+    for start in range(0, block.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[rows] = block[rows].astype(float) @ x
     return out
 
 
@@ -213,47 +215,43 @@ def ksh_tail_systems(
     a = -_mirror_upper(x.T @ x)
     np.fill_diagonal(a, 0.0)
     b = float(bits) * _cast_matmul(sim.s[m:, :], x)
-    row_sums = np.abs(a).sum(axis=1)
-    scales = np.max(row_sums[None, :] + np.abs(b), axis=1) / half_range
-    return a, b, scales
+    return a, b, build_scale(a, b, half_range)
 
 
 def batch_solve_shared(
     eig: SharedEig, b_rows: np.ndarray, scales: np.ndarray, lin: LinearizedSigmoid
 ) -> np.ndarray:
-    """Solve many systems that share one matrix, one small vector at a time.
+    """Solve a stack of systems that share one matrix, as two matrix products.
 
     In the shared eigenbasis each solve is an elementwise product:
 
         v_i = 2*slope * P @ (values / (scale_i - 2*slope*values) * (P.T @ b_i / scale_i))
 
     which is the inversion-free analog of the affine closed form, valid for
-    zero eigenvalues, and needs only one working vector per row (the whole
-    pass stays linear in rows-times-bits).
+    zero eigenvalues.  All rows go through ``P`` together, so the work is two
+    GEMMs and the memory is linear in rows-times-bits.
 
-    Raises ``numpy.linalg.LinAlgError`` if any denominator is nonpositive:
-    with a correctly built scale that cannot happen, so it flags an
-    upstream scale bug.
+    Raises ``numpy.linalg.LinAlgError``, naming the first offending row, if
+    any denominator is nonpositive: with a correctly built scale that cannot
+    happen, so it flags an upstream scale bug.
     """
     b_rows = np.asarray(b_rows, dtype=float)
     scales = np.asarray(scales, dtype=float)
-    if b_rows.shape[0] != scales.shape[0]:
+    if b_rows.ndim != 2 or scales.shape != b_rows.shape[:1]:
         raise ValueError("one scale per row required")
+    bad = np.flatnonzero(scales <= 0.0)
+    if bad.size:
+        raise ValueError(f"row {bad[0]} has nonpositive scale")
     slope2 = 2.0 * lin.slope
-    out = np.empty_like(b_rows)
-    for i in range(b_rows.shape[0]):
-        scale = scales[i]
-        if scale <= 0.0:
-            raise ValueError(f"row {i} has nonpositive scale")
-        denom = scale - slope2 * eig.values
-        if np.any(denom <= 0.0):
-            raise np.linalg.LinAlgError(
-                f"solvability condition violated for row {i}: the scale does not "
-                "dominate the shared spectrum"
-            )
-        z = eig.vectors.T @ (b_rows[i] / scale)
-        out[i] = slope2 * (eig.vectors @ ((eig.values / denom) * z))
-    return out
+    denom = scales[:, None] - slope2 * eig.values
+    bad = np.flatnonzero(np.any(denom <= 0.0, axis=1))
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            f"solvability condition violated for row {bad[0]}: the scale does not "
+            "dominate the shared spectrum"
+        )
+    z = (b_rows / scales[:, None]) @ eig.vectors
+    return slope2 * (((eig.values / denom) * z) @ eig.vectors.T)
 
 
 def _resolve_linearization(cfg: TrainConfig, lin: LinearizedSigmoid | None) -> LinearizedSigmoid:
@@ -270,23 +268,24 @@ def _resolve_linearization(cfg: TrainConfig, lin: LinearizedSigmoid | None) -> L
 def ksh_tail_pass(
     phi_anchors: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid
 ) -> np.ndarray:
-    """Solve every non-anchor row in one pass over the shared matrix."""
-    bits = phi_anchors.shape[1]
+    """Solve every non-anchor row, one stacked solve and squash per row block.
+
+    Dispatches like ``solve_row_system(..., homogeneous=False)``: rows without
+    evidence stay at 0.5 and a zero shared matrix gives ``sigmoid(b / scale)``.
+    """
     a, b, scales = ksh_tail_systems(phi_anchors, sim, lin.half_range)
-    n_tail = b.shape[0]
-    if n_tail == 0:
-        return np.zeros((0, bits))
-    if np.max(np.abs(a)) < ZERO_TOL:
-        out = np.full((n_tail, bits), 0.5)
-        live = scales > 0.0
-        out[live] = sigmoid(b[live] / scales[live, None])
-        return out
-    eig = eigendecompose_shared(a)
-    out = np.full((n_tail, bits), 0.5)
-    for i in range(n_tail):
-        if np.max(np.abs(b[i])) >= ZERO_TOL:
-            v = batch_solve_shared(eig, b[i : i + 1], scales[i : i + 1], lin)[0]
-            out[i] = renormalize_and_squash(v, b[i], scales[i], lin.half_range)
+    out = np.full(b.shape, 0.5)
+    explicit = np.max(np.abs(a)) < ZERO_TOL
+    eig = None if explicit else eigendecompose_shared(a)
+    for start in range(0, b.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        live = np.max(np.abs(b[rows]), axis=1) >= ZERO_TOL
+        b_live, s_live = b[rows][live], scales[rows][live]
+        if explicit:
+            out[rows][live] = sigmoid(b_live / s_live[:, None])
+        else:
+            v = batch_solve_shared(eig, b_live, s_live, lin)
+            out[rows][live] = renormalize_and_squash(v, b_live, s_live, lin.half_range)
     return out
 
 
@@ -338,15 +337,13 @@ def em_ksh_train(
     )
 
 
-def splh_system(sim_full: np.ndarray, bit: int = 0, half_range: float = 2.0) -> RowSystem:
-    """Consistency system of one bit column under the correlation energy.
+def splh_system(sim_full: np.ndarray, half_range: float = 2.0) -> RowSystem:
+    """Consistency system shared by every bit column under the correlation energy.
 
-    The full square similarity matrix itself is the system matrix, the
-    linear term is exactly zero, and nothing depends on which bit is asked
-    for: all bit columns pose the identical problem.
+    The full square similarity matrix itself is the system matrix and the
+    linear term is exactly zero; no bit depends on another, so all bit
+    columns pose this one problem.
     """
-    if bit < 0:
-        raise IndexError(f"bit index must be nonnegative, got {bit}")
     s = np.asarray(sim_full, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"full similarity must be square, got shape {s.shape}")
@@ -382,7 +379,7 @@ def em_splh_train(
     s = raw.astype(float)
     if s.size == 0 or np.max(np.abs(s)) == 0.0:
         raise ValueError("all-zero similarity admits no solution")
-    sys = splh_system(s, 0, cfg.linear_range)
+    sys = splh_system(s, cfg.linear_range)
     column = solve_row_system(sys, lin)
     return np.repeat(column[:, None], cfg.bits, axis=1)
 

@@ -60,12 +60,8 @@ DEGENERATE_SPAN = 1e-12
 def sigmoid(x: np.ndarray | float) -> np.ndarray:
     """Numerically stable logistic function 1 / (1 + exp(-x))."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -148,22 +144,24 @@ def check_condition(lin: LinearizedSigmoid) -> bool:
     return 2.0 * lin.slope < 1.0 / lin.half_range
 
 
-def build_scale(a: np.ndarray, b: np.ndarray, half_range: float) -> float:
+def build_scale(a: np.ndarray, b: np.ndarray, half_range: float) -> float | np.ndarray:
     """Row-sum scale that confines every sigmoid argument to the fit interval.
 
     Returns ``max_k(sum_j |a[k, j]| + |b[k]|) / half_range``; for any u with
     entries in [-1, 1], every entry of ``(a @ u + b) / scale`` then lies in
-    ``[-half_range, half_range]``.  Zero inputs give scale 0.
+    ``[-half_range, half_range]``.  Zero inputs give scale 0.  A stack ``b``
+    of shape ``(rows, dim)`` (systems sharing ``a``) gives one scale per row.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if b.shape != (a.shape[0],):
+    if b.ndim not in (1, 2) or b.shape[-1] != a.shape[0]:
         raise ValueError(f"vector length {b.shape} does not match matrix {a.shape}")
     if half_range <= 0.0:
         raise ValueError(f"half_range must be positive, got {half_range}")
-    return float(np.max(np.abs(a).sum(axis=1) + np.abs(b)) / half_range)
+    scales = np.max(np.abs(a).sum(axis=1) + np.abs(b), axis=-1) / half_range
+    return float(scales) if b.ndim == 1 else scales
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,29 +275,31 @@ def solve_homogeneous(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
 
 
 def renormalize_and_squash(
-    v: np.ndarray, b: np.ndarray, scale: float, half_range: float
+    v: np.ndarray, b: np.ndarray, scale: float | np.ndarray, half_range: float
 ) -> np.ndarray:
-    """Map a solved vector back to marginals through the true sigmoid.
+    """Map solved rows ``v``, ``b`` of shape ``(..., dim)`` back to marginals.
 
-    Forms ``v' = v + b / scale``, stretches it affinely so that
-    ``min(v') -> -half_range`` and ``max(v') -> +half_range``, and returns
-    ``sigmoid(v')``.  A constant ``v'`` (including length 1) carries no
-    ordering information, so the uninformative 0.5 marginal is returned
-    rather than dividing by the zero spread.
+    Each row, with its own ``scale``, forms ``v' = v + b / scale``, stretches
+    it affinely so that ``min(v') -> -half_range`` and ``max(v') ->
+    +half_range``, and returns ``sigmoid(v')``.  A row spanning less than
+    ``DEGENERATE_SPAN`` (including length 1) carries no ordering information,
+    so it gets the uninformative 0.5 marginal without a divide by its spread.
     """
     v = np.asarray(v, dtype=float)
     b = np.asarray(b, dtype=float)
+    scale = np.asarray(scale, dtype=float)
     if v.shape != b.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs {b.shape}")
-    if scale <= 0.0:
+    if scale.shape != v.shape[:-1]:
+        raise ValueError(f"one scale per row required, got {scale.shape} for {v.shape}")
+    if (scale <= 0.0).any():
         raise ValueError("renormalization requires a positive scale")
-    vp = v + b / scale
-    lo = float(vp.min())
-    hi = float(vp.max())
-    if hi - lo < DEGENERATE_SPAN:
-        return np.full(v.shape, 0.5)
-    vp = half_range * (2.0 * (vp - lo) / (hi - lo) - 1.0)
-    return sigmoid(vp)
+    vp = v + b / scale[..., None]
+    lo = vp.min(axis=-1, keepdims=True)
+    span = vp.max(axis=-1, keepdims=True) - lo
+    # Flat rows stretch by a finite dummy span and are then zeroed: sigmoid(0) = 0.5.
+    gain = half_range * (span >= DEGENERATE_SPAN)
+    return sigmoid(gain * (2.0 * (vp - lo) / np.maximum(span, DEGENERATE_SPAN) - 1.0))
 
 
 def solve_row_system(

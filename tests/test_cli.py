@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emhash
 from emhash.cli import main
 from emhash.dataio import load_feature_matrix, read_codes, write_feature_csv, write_label_file
 
@@ -333,3 +338,25 @@ class TestMethods:
             "--exclude-self",
         ]) == 0
         assert "map=1.000000" in capsys.readouterr().out
+
+
+class TestBlasThreads:
+    def test_outputs_identical_across_openblas_thread_counts(self, tmp_path):
+        """em-ksh train with a tail of several row blocks, one child per thread count."""
+        data = synth(tmp_path, clusters=4, per_cluster=250, dim=16)
+        source = str(Path(emhash.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in (1, 2, 4):
+            out_dir = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "emhash.cli", "train", "--features", str(data),
+                 "--bits", "32", "--anchors", "100", "--sweeps", "1", "--seed", "7",
+                 "--codes-format", "packed", "--out-dir", str(out_dir)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs[threads] = [
+                (out_dir / name).read_bytes() for name in ("codes.bin", "model.emh", "thresholds.txt")
+            ]
+        assert outputs[1] == outputs[2] == outputs[4]

@@ -1,9 +1,15 @@
 """Tests for the hashing-energy system builders and training loops."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emhash.energy_models import (
+    _ROW_BLOCK,
     SimilarityView,
     TrainConfig,
     batch_solve_shared,
@@ -20,7 +26,13 @@ from emhash.energy_models import (
     splh_system,
     variational_weight,
 )
-from emhash.mean_field import fit_linearization, solve_affine
+from emhash.mean_field import (
+    build_scale,
+    fit_linearization,
+    make_system,
+    solve_affine,
+    solve_row_system,
+)
 
 LIN = fit_linearization(2.0)
 
@@ -198,6 +210,13 @@ class TestBatchSolveShared:
         with pytest.raises(np.linalg.LinAlgError, match="dominate"):
             batch_solve_shared(eig, np.ones((1, 2)), np.array([0.5]), LIN)
 
+    def test_errors_name_the_first_offending_row(self):
+        eig = eigendecompose_shared(np.diag([5.0, 1.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="row 1:"):
+            batch_solve_shared(eig, np.ones((3, 2)), np.array([20.0, 0.5, 0.5]), LIN)
+        with pytest.raises(ValueError, match="row 2 has nonpositive"):
+            batch_solve_shared(eig, np.ones((3, 2)), np.array([20.0, 20.0, 0.0]), LIN)
+
 
 class TestEmKshTrain:
     def test_deterministic_given_seed(self):
@@ -236,19 +255,9 @@ class TestEmKshTrain:
 
 
 class TestSplh:
-    def test_identical_system_for_every_bit(self):
-        rng = np.random.default_rng(10)
-        s = random_full_similarity(rng, 6)
-        first = splh_system(s, 0, 2.0)
-        for bit in (1, 3, 7):
-            other = splh_system(s, bit, 2.0)
-            np.testing.assert_array_equal(first.a, other.a)
-            np.testing.assert_array_equal(first.b, other.b)
-            assert first.scale == other.scale
-
     def test_evidence_is_exactly_zero(self):
         s = random_full_similarity(np.random.default_rng(11), 5)
-        sys = splh_system(s, 0, 2.0)
+        sys = splh_system(s, 2.0)
         assert np.all(sys.b == 0.0)
         np.testing.assert_array_equal(sys.a, s.astype(float))
 
@@ -467,3 +476,74 @@ class TestTailPass:
         out = ksh_tail_pass(phi1, view, LIN)
         np.testing.assert_array_equal(out[1], np.full(d, 0.5))
         assert not np.all(out[0] == 0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def linearization(half_range):
+    return fit_linearization(half_range)
+
+
+def tail_instance(seed, m, bits, n_tail, half_range, phi_value=None, silent_rows=0):
+    """Anchor marginals and an (m + n_tail) x m view whose first ``silent_rows``
+    tail rows observe nothing."""
+    rng = np.random.default_rng(seed)
+    phi = rng.random((m, bits)) if phi_value is None else np.full((m, bits), phi_value)
+    s = rng.integers(-1, 2, size=(m + n_tail, m)).astype(np.int8)
+    s[m : m + silent_rows] = 0
+    return phi, s, half_range
+
+
+@st.composite
+def tail_instances(draw):
+    m, bits, n_tail = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 10))
+    # Marginals on a grid of sixteenths.  Arbitrary floats can make two entries
+    # of v' differ by 1e-9, which the stretch onto the fit interval magnifies
+    # into a 1e-8 gap between any two float64 solvers (phi = [1e-9, 0, 0]).
+    grid = st.sampled_from(list(np.linspace(0.0, 1.0, 17)))
+    phi = draw(arrays(np.float64, (m, bits), elements=grid))
+    s = draw(arrays(np.int8, (m + n_tail, m), elements=st.sampled_from([-1, 0, 1])))
+    half_range = draw(st.one_of(st.sampled_from([0.05, 2.0, 2.5996]), st.floats(0.05, 2.5996)))
+    return phi, s, half_range
+
+
+def assert_tail_matches_rows(phi, s, half_range, atol):
+    """ksh_tail_pass against the per-row dispatcher, one tail row at a time."""
+    view = SimilarityView(s=s)
+    lin = linearization(half_range)
+    a, b, scales = ksh_tail_systems(phi, view, half_range)
+    out = ksh_tail_pass(phi, view, lin)
+    assert out.shape == b.shape
+    for i, row in enumerate(b):
+        assert scales[i] == build_scale(a, row, half_range)
+        if not s[view.m + i].any():
+            np.testing.assert_array_equal(out[i], 0.5)
+        expected = solve_row_system(make_system(a, row, half_range), lin, homogeneous=False)
+        np.testing.assert_allclose(out[i], expected, rtol=0.0, atol=atol)
+
+
+class TestTailMatchesRowSolve:
+    """The stacked tail against ``solve_row_system`` on each row.
+
+    Tolerances were fixed from float64 before measuring: the eigenbasis and
+    the Cholesky solve differ by about eps / (1 - 2*slope*half_range), which
+    is 1.2e-11 at half_range 2.5996 and 1.4e-15 at 2.0.
+    """
+
+    @settings(deadline=None)
+    @given(tail_instances())
+    @example(tail_instance(1, 4, 1, 6, 2.0))  # 1x1 zero coupling: explicit sigmoid
+    @example(tail_instance(2, 5, 2, 8, 2.0))
+    @example(tail_instance(3, 4, 5, 8, 2.0, phi_value=0.5))  # zero coupling, no evidence
+    @example(tail_instance(4, 3, 4, _ROW_BLOCK + 10, 2.0, silent_rows=_ROW_BLOCK))  # empty stack
+    @example(tail_instance(5, 6, 6, 10, 2.5996))
+    @example(tail_instance(6, 6, 6, 10, 0.05))
+    def test_small_instances(self, instance):
+        assert_tail_matches_rows(*instance, atol=1e-10)
+
+    def test_several_row_blocks_of_class_labels(self):
+        rng = np.random.default_rng(31)
+        n, m, bits = 3000, 200, 32
+        labels = rng.integers(0, 16, size=n)
+        s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
+        s[m:][rng.random(n - m) < 0.05] = 0  # unlabeled tail points
+        assert_tail_matches_rows(rng.random((m, bits)), s, 2.0, atol=1e-12)

@@ -298,6 +298,19 @@ class TestRenormalizeAndSquash:
             out = renormalize_and_squash(rng.normal(size=d), rng.normal(size=d), 1.7, 2.0)
             assert np.all(out > 0.0) and np.all(out < 1.0)
 
+    def test_stack_matches_rows_and_flat_rows_stay_uninformative(self):
+        rng = np.random.default_rng(31)
+        v, b = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        v[2], b[2] = 0.7, 0.0  # zero span: no divide, no warning
+        scales = rng.uniform(0.5, 3.0, size=5)
+        out = renormalize_and_squash(v, b, scales, 2.0)
+        for i in range(5):
+            np.testing.assert_array_equal(out[i], renormalize_and_squash(v[i], b[i], scales[i], 2.0))
+        np.testing.assert_array_equal(out[2], np.full(6, 0.5))
+        assert renormalize_and_squash(v[:0], b[:0], scales[:0], 2.0).shape == (0, 6)
+        with pytest.raises(ValueError, match="one scale per row"):
+            renormalize_and_squash(v, b, 1.0, 2.0)
+
     def test_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(29)
         v = rng.normal(size=6)
