@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "ProjectionModel",
@@ -87,9 +86,11 @@ def fit_projection(features: np.ndarray, phi: np.ndarray, ridge: float = 1.0) ->
     """Ridge-regress soft codes on features.
 
     Solves the normal equations ``(X.T X + ridge * I) W = X.T phi`` through
-    a symmetric positive-definite factorization (never an explicit
-    inverse).  With ``ridge == 0`` and rank-deficient features the
-    factorization fails and the error propagates.
+    the Cholesky factor ``L`` of the left side (``np.linalg.cholesky``), as
+    the two triangular systems ``L Y = X.T phi`` and ``L.T W = Y``; no
+    explicit inverse is formed.  The factorization doubles as the
+    positive-definiteness check: with ``ridge == 0`` and rank-deficient
+    features it raises ``numpy.linalg.LinAlgError``.
 
     The stored thresholds are the per-bit training column means expressed
     in prediction scale, i.e. the column means of ``X @ W``.  The map has
@@ -111,8 +112,8 @@ def fit_projection(features: np.ndarray, phi: np.ndarray, ridge: float = 1.0) ->
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     p = features.shape[1]
     gram = features.T @ features + ridge * np.eye(p)
-    factor = cho_factor(gram)
-    weights = cho_solve(factor, features.T @ phi)
+    factor = np.linalg.cholesky(gram)
+    weights = np.linalg.solve(factor.T, np.linalg.solve(factor, features.T @ phi))
     thresholds = (features @ weights).mean(axis=0)
     return ProjectionModel(
         weights=weights,

@@ -70,8 +70,8 @@ __all__ = [
 # one-shot path is out of its depth and the caller should sample anchors.
 MAX_DENSE_POINTS = 5000
 
-# Tail rows are cast and solved in fixed blocks of this many rows, independent
-# of input and thread count, so peak temporary memory stays bounded.
+# Tail rows are built, cast and solved in fixed blocks of this many rows,
+# independent of input and thread count, so peak temporary memory stays bounded.
 _ROW_BLOCK = 256
 
 
@@ -158,13 +158,11 @@ def _mirror_upper(g: np.ndarray) -> np.ndarray:
     return np.triu(g) + np.triu(g, 1).T
 
 
-def _cast_matmul(block: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``block.astype(float) @ x`` with bounded, fixed-size cast buffers."""
-    out = np.empty((block.shape[0], x.shape[1]))
-    for start in range(0, block.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        out[rows] = block[rows].astype(float) @ x
-    return out
+def _ksh_coupling(x: np.ndarray) -> np.ndarray:
+    # Squared-fit coupling of the rows of x: -(x.T x) with a zero diagonal.
+    a = -_mirror_upper(x.T @ x)
+    np.fill_diagonal(a, 0.0)
+    return a
 
 
 def ksh_anchor_system(
@@ -189,33 +187,27 @@ def ksh_anchor_system(
     x = 2.0 * phi[:m] - 1.0
     others = np.delete(x, anchor, axis=0)
     s_row = np.delete(sim.s[anchor, :m].astype(float), anchor)
-    a = -_mirror_upper(others.T @ others)
-    np.fill_diagonal(a, 0.0)
     b = float(bits) * (others.T @ s_row)
-    return make_system(a, b, half_range)
+    return make_system(_ksh_coupling(others), b, half_range)
 
 
 def ksh_tail_systems(
-    phi_anchors: np.ndarray, sim: SimilarityView, half_range: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Systems for every non-anchor row: one shared matrix, per-row vectors.
+    a: np.ndarray, x_anchors: np.ndarray, s_rows: np.ndarray, half_range: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear terms and scales of a block of non-anchor rows.
 
-    Non-anchor rows never appear inside the sums, so the quadratic coupling
-    built from the anchor block is the same matrix for all of them; only the
-    linear term and the scale vary per row.  Returns
-    ``(shared_a, b_rows, scales)`` with one row of ``b_rows`` / one entry of
-    ``scales`` per tail point.
+    Non-anchor rows never appear inside the sums, so every one of them shares
+    the quadratic coupling ``a`` built once from the anchor codes
+    ``x_anchors = 2 * phi_anchors - 1``; only the linear term and the scale
+    vary per row.  ``s_rows`` holds the rows' similarities to the anchors.
+    Returns ``(b_rows, scales)``, one row / one entry per row of ``s_rows``.
     """
-    m = sim.m
-    phi_anchors = np.asarray(phi_anchors, dtype=float)
-    if phi_anchors.shape[0] != m:
-        raise ValueError(f"anchor block must have exactly {m} rows, got {phi_anchors.shape[0]}")
-    bits = phi_anchors.shape[1]
-    x = 2.0 * phi_anchors - 1.0
-    a = -_mirror_upper(x.T @ x)
-    np.fill_diagonal(a, 0.0)
-    b = float(bits) * _cast_matmul(sim.s[m:, :], x)
-    return a, b, build_scale(a, b, half_range)
+    if s_rows.ndim != 2 or s_rows.shape[1] != x_anchors.shape[0]:
+        raise ValueError(
+            f"similarity rows {s_rows.shape} do not match {x_anchors.shape[0]} anchors"
+        )
+    b = float(x_anchors.shape[1]) * (s_rows.astype(float) @ x_anchors)
+    return b, build_scale(a, b, half_range)
 
 
 def batch_solve_shared(
@@ -268,24 +260,33 @@ def _resolve_linearization(cfg: TrainConfig, lin: LinearizedSigmoid | None) -> L
 def ksh_tail_pass(
     phi_anchors: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid
 ) -> np.ndarray:
-    """Solve every non-anchor row, one stacked solve and squash per row block.
+    """Solve every non-anchor row, one build, stacked solve and squash per row block.
 
+    The shared coupling and its eigendecomposition are computed once; each
+    block of ``_ROW_BLOCK`` rows gets its linear terms and scales from
+    :func:`ksh_tail_systems`, so temporaries stay bounded by the block.
     Dispatches like ``solve_row_system(..., homogeneous=False)``: rows without
     evidence stay at 0.5 and a zero shared matrix gives ``sigmoid(b / scale)``.
     """
-    a, b, scales = ksh_tail_systems(phi_anchors, sim, lin.half_range)
-    out = np.full(b.shape, 0.5)
+    m = sim.m
+    phi_anchors = np.asarray(phi_anchors, dtype=float)
+    if phi_anchors.shape[0] != m:
+        raise ValueError(f"anchor block must have exactly {m} rows, got {phi_anchors.shape[0]}")
+    x = 2.0 * phi_anchors - 1.0
+    a = _ksh_coupling(x)
     explicit = np.max(np.abs(a)) < ZERO_TOL
     eig = None if explicit else eigendecompose_shared(a)
-    for start in range(0, b.shape[0], _ROW_BLOCK):
+    out = np.full((sim.n - m, x.shape[1]), 0.5)
+    for start in range(0, out.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        live = np.max(np.abs(b[rows]), axis=1) >= ZERO_TOL
-        b_live, s_live = b[rows][live], scales[rows][live]
+        b, scales = ksh_tail_systems(a, x, sim.s[m:][rows], lin.half_range)
+        live = np.max(np.abs(b), axis=1) >= ZERO_TOL
+        b, scales = b[live], scales[live]
         if explicit:
-            out[rows][live] = sigmoid(b_live / s_live[:, None])
+            out[rows][live] = sigmoid(b / scales[:, None])
         else:
-            v = batch_solve_shared(eig, b_live, s_live, lin)
-            out[rows][live] = renormalize_and_squash(v, b_live, s_live, lin.half_range)
+            v = batch_solve_shared(eig, b, scales, lin)
+            out[rows][live] = renormalize_and_squash(v, b, scales, lin.half_range)
     return out
 
 

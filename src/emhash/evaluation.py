@@ -49,35 +49,50 @@ ORACLE_MAX_POINTS = 2000
 RELEVANCE_BLOCK = 64  # queries per relevance block of mean_average_precision
 
 
-def _as_codes(codes: np.ndarray) -> np.ndarray:
+def _as_codes(codes: np.ndarray, ndim: int = 2) -> np.ndarray:
+    # Checked +-1 codes as float32 for the distance GEMM, without a copy when
+    # they already are: inner products of sign vectors are integers of
+    # magnitude <= bits, exact in float32 below 2**24 bits whatever order
+    # BLAS sums them in.
     codes = np.asarray(codes)
-    if codes.ndim != 2:
-        raise ValueError(f"codes must be 2-d, got shape {codes.shape}")
+    if codes.ndim != ndim:
+        raise ValueError(f"codes must be {ndim}-d, got shape {codes.shape}")
     if codes.size and not np.isin(codes, (-1, 1)).all():
         raise ValueError("codes must contain only +1 and -1")
-    return codes.astype(np.int64)
+    return codes.astype(np.float32, copy=False)
 
 
-def hamming_distances(query: np.ndarray, database: np.ndarray) -> np.ndarray:
-    """Hamming distance of one query code against every database code."""
-    database = _as_codes(database)
-    query = np.asarray(query).astype(np.int64)
-    if query.shape != (database.shape[1],):
-        raise ValueError(
-            f"query length {query.shape} does not match code length {database.shape[1]}"
-        )
-    bits = database.shape[1]
-    return (bits - database @ query) // 2
+def hamming_distances(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
+    """Hamming distances of a ``(q, bits)`` query block to every database code.
 
-
-def hamming_rank(query: np.ndarray, database: np.ndarray) -> np.ndarray:
-    """Database indices sorted ascending by Hamming distance to the query.
-
-    Equal distances break by ascending index, so the ranking is a
-    deterministic permutation of the database.
+    Returns shape ``(q, N)``; a single query of shape ``(bits,)`` is the
+    one-row case and gives shape ``(N,)``.  All distances come from one
+    matrix product, ``(bits - queries @ database.T) / 2``, and are returned
+    as the smallest unsigned integer type that holds ``bits`` (uint8 up to
+    255 bits), so cast them to a signed type before subtracting.
     """
-    dist = hamming_distances(query, database)
-    return np.argsort(dist, kind="stable")
+    queries = np.asarray(queries)
+    block = _as_codes(queries, ndim=1 if queries.ndim == 1 else 2)
+    database = _as_codes(database)
+    bits = database.shape[1]
+    if block.shape[-1] != bits:
+        raise ValueError(f"query length {block.shape[-1]} does not match code length {bits}")
+    dist = block @ database.T
+    np.subtract(bits, dist, out=dist)
+    dist *= 0.5
+    return dist.astype(np.min_scalar_type(bits))
+
+
+def hamming_rank(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
+    """Database indices sorted ascending by Hamming distance, one row per query.
+
+    Shapes follow :func:`hamming_distances`: a ``(q, bits)`` block gives
+    ``(q, N)`` and a single ``(bits,)`` query gives ``(N,)``.  Equal
+    distances break by ascending index, so every ranking is a deterministic
+    permutation of the database; on small unsigned distances numpy's stable
+    sort is a radix sort.
+    """
+    return np.argsort(hamming_distances(queries, database), axis=-1, kind="stable")
 
 
 def average_precision(ranking: np.ndarray, relevant: np.ndarray) -> float:
@@ -126,12 +141,14 @@ def mean_average_precision(
     """Mean average precision of Hamming rankings under label relevance.
 
     A database item is relevant to a query iff their labels are similar
-    (+1).  The database labels are encoded once and relevance is filled for
-    blocks of ``RELEVANCE_BLOCK`` queries at a time, so memory stays
-    O(RELEVANCE_BLOCK * database size) at any query count.  With
-    ``exclude_self=True`` query i and database item i are taken to be the
-    same point and that exact index is dropped from the ranking (queries
-    drawn from the database should not retrieve themselves).
+    (+1).  The database codes are converted to float32, and its labels
+    encoded, once; then each block of ``RELEVANCE_BLOCK`` queries takes one
+    :func:`hamming_rank` call and one relevance fill, and is released before
+    the next, so memory stays O(RELEVANCE_BLOCK * database size) at any
+    query count.  With ``exclude_self=True`` query i and database item i are
+    taken to be the same point and that exact index is dropped from the
+    ranking (queries drawn from the database should not retrieve
+    themselves).
     """
     query_codes = _as_codes(query_codes)
     db_codes = _as_codes(db_codes)
@@ -144,18 +161,12 @@ def mean_average_precision(
     if exclude_self and query_codes.shape[0] != db_codes.shape[0]:
         raise ValueError("self-exclusion requires query set == database set")
 
-    aps = np.full(query_codes.shape[0], np.nan)
     db_index = index_labels(db_labels)
-    for qi in range(query_codes.shape[0]):
-        if qi % RELEVANCE_BLOCK == 0:
-            block = index_labels(query_labels[qi : qi + RELEVANCE_BLOCK])
-            relevant = similarity_block(block, db_index) == 1
-        ranking = hamming_rank(query_codes[qi], db_codes)
-        if exclude_self:
-            ranking = ranking[ranking != qi]
-        hits = relevant[qi % RELEVANCE_BLOCK, ranking]
-        if hits.any():
-            aps[qi] = _ap_from_hits(hits)
+    aps = np.empty(query_codes.shape[0])
+    for start in range(0, aps.size, RELEVANCE_BLOCK):
+        aps[start : start + RELEVANCE_BLOCK] = _block_aps(
+            query_codes, query_labels, db_codes, db_index, start, exclude_self
+        )
     valid = ~np.isnan(aps)
     if not valid.any():
         raise ValueError("no query has any relevant database item")
@@ -165,6 +176,23 @@ def mean_average_precision(
         mean_ap=float(aps[valid].mean()),
         skipped=int((~valid).sum()),
     )
+
+
+def _block_aps(query_codes, query_labels, db_codes, db_index, start, exclude_self):
+    # APs of the queries in one relevance block (NaN where none is relevant).
+    # Its rankings and relevance die on return, before the next block's exist.
+    stop = min(start + RELEVANCE_BLOCK, query_codes.shape[0])
+    relevant = similarity_block(index_labels(query_labels[start:stop]), db_index) == 1
+    rankings = hamming_rank(query_codes[start:stop], db_codes)
+    aps = np.full(stop - start, np.nan)
+    for row in range(stop - start):
+        ranking = rankings[row]
+        if exclude_self:
+            ranking = ranking[ranking != start + row]
+        hits = relevant[row, ranking]
+        if hits.any():
+            aps[row] = _ap_from_hits(hits)
+    return aps
 
 
 def ksh_row_consistency(phi: np.ndarray, sim_full: np.ndarray, row: int) -> np.ndarray:

@@ -10,7 +10,9 @@ every sigmoid argument stays inside that interval, and the fixed point becomes
 a small dense linear system with a closed-form solution.  This module owns the
 generic machinery: fitting the linearization, building the scale, the affine
 (b != 0) and homogeneous (b == 0) solvers, and the final re-normalization back
-through the true sigmoid.
+through the true sigmoid.  The fit's two integrals use a fixed 24-node
+Gauss-Legendre rule; its error on the analytic integrands is far below float64
+rounding, so the whole module needs numpy only.
 
 Everything here is pure: no function mutates its inputs, and
 :class:`LinearizedSigmoid` / :class:`RowSystem` are immutable, so independent
@@ -22,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import solve as dense_solve
 
 __all__ = [
     "MAX_HALF_RANGE",
@@ -55,6 +55,11 @@ RESIDUAL_TOL = 1e-8
 # Spread below which the pre-squash vector is considered constant and the
 # uninformative 0.5 marginal is returned instead of stretching noise.
 DEGENERATE_SPAN = 1e-12
+
+# Gauss-Legendre nodes and weights on [-1, 1] for the linearization integrals.
+# The integrands' nearest complex poles sit at +-i*pi, far enough from any
+# valid interval that 24 nodes resolve them to float64 rounding.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray:
@@ -108,10 +113,12 @@ def fit_linearization(half_range: float) -> LinearizedSigmoid:
 
         slope = 3 / (2 * half_range**3) * integral of x * sigmoid(x)
 
-    over the interval.  The moment integral is evaluated by adaptive
-    quadrature; ``x * sigmoid(x) = x/2 + (x/2) * tanh(x/2)`` and the odd
-    part cancels, so the even remainder is integrated on [0, half_range]
-    to avoid cancellation.
+    over the interval.  ``x * sigmoid(x) = x/2 + (x/2) * tanh(x/2)`` and the
+    odd part cancels, so the moment is twice the integral of
+    ``(x/2) * tanh(x/2)`` on [0, half_range], which avoids cancellation.
+    That integral and the intercept's mass are evaluated by the fixed
+    24-node Gauss-Legendre rule; the moment is written in the rule's unit
+    variable so no power of ``half_range`` can underflow.
 
     Raises ``ValueError`` outside (0, MAX_HALF_RANGE): beyond the upper
     bound the fitted slope no longer guarantees an invertible solve.
@@ -123,14 +130,10 @@ def fit_linearization(half_range: float) -> LinearizedSigmoid:
             f"half_range must stay below {MAX_HALF_RANGE}; beyond it the fitted "
             "slope violates the solvability condition"
         )
-    moment, _ = quad(
-        lambda x: x * np.tanh(0.5 * x), 0.0, half_range, epsabs=1e-12, epsrel=1e-12
-    )
-    slope = 1.5 * moment / half_range**3
-    mass, _ = quad(
-        lambda x: float(sigmoid(x)), -half_range, half_range, epsabs=1e-12, epsrel=1e-12
-    )
-    intercept = mass / (2.0 * half_range)
+    # x = half_range * u / 2 with u = 1 + node maps the rule onto [0, half_range].
+    u = 1.0 + _GL_NODES
+    slope = 0.375 * float(_GL_WEIGHTS @ (u * np.tanh(0.25 * half_range * u))) / half_range
+    intercept = 0.5 * float(_GL_WEIGHTS @ sigmoid(half_range * _GL_NODES))
     return LinearizedSigmoid(half_range=half_range, slope=slope, intercept=intercept)
 
 
@@ -230,7 +233,7 @@ def solve_affine(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
         return np.zeros(sys.dim)
     lhs = sys.scale * np.eye(sys.dim) - 2.0 * lin.slope * sys.a
     rhs = (2.0 * lin.slope / sys.scale) * (sys.a @ sys.b)
-    v = dense_solve(lhs, rhs, assume_a="pos")
+    v = np.linalg.solve(lhs, rhs)
     residual = np.max(np.abs(lhs @ v - rhs))
     if residual > RESIDUAL_TOL * max(1.0, np.max(np.abs(rhs))):
         raise np.linalg.LinAlgError(

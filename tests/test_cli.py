@@ -360,3 +360,49 @@ class TestBlasThreads:
                 (out_dir / name).read_bytes() for name in ("codes.bin", "model.emh", "thresholds.txt")
             ]
         assert outputs[1] == outputs[2] == outputs[4]
+
+
+class TestNumpyOnlyRuntime:
+    """The stage processes import numpy and no scipy module."""
+
+    def child(self, code, *args):
+        source = str(Path(emhash.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_cli_import_loads_no_scipy(self):
+        loaded = self.child(
+            "import json, sys\n"
+            "import emhash.cli\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))\n"
+        )
+        assert loaded == []
+
+    def test_train_encode_eval_load_no_scipy(self, tmp_path):
+        data = synth(tmp_path, clusters=3, per_cluster=40)
+        labels = labels_file(tmp_path, data)
+        out = tmp_path / "run"
+        stages = [
+            ["train", "--features", str(data), "--method", "em-ksh", "--bits", "8",
+             "--anchors", "30", "--sweeps", "2", "--seed", "7", "--out-dir", str(out)],
+            ["encode", "--model", str(out / "model.emh"), "--queries", str(data),
+             "--queries-labeled", "--out", str(tmp_path / "queries.txt")],
+            ["eval", "--db-codes", str(out / "codes.txt"),
+             "--query-codes", str(tmp_path / "queries.txt"), "--db-labels", str(labels),
+             "--query-labels", str(labels), "--exclude-self",
+             "--out", str(tmp_path / "metrics.json")],
+        ]
+        loaded = self.child(
+            "import json, sys\n"
+            "from emhash.cli import main\n"
+            "codes = [main(stage) for stage in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n",
+            json.dumps(stages),
+        )
+        assert loaded == [[0, 0, 0], []]
+        assert json.loads((tmp_path / "metrics.json").read_text())["queries"] == 120

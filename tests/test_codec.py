@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emhash.codec import (
     ProjectionModel,
@@ -73,6 +76,28 @@ class TestFitProjection:
         assert residual <= 1e-8 * np.linalg.norm(x.T @ phi)
         oracle = np.linalg.inv(gram) @ (x.T @ phi)
         np.testing.assert_allclose(model.weights, oracle, atol=1e-8)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    )
+    def test_matches_scipy_cholesky_solve(self, seed, p, bits, ridge):
+        rng = np.random.default_rng(seed)
+        # Twice as many rows as columns keeps Gaussian features well
+        # conditioned, so ridge 0 is a fair case too.
+        x = rng.normal(size=(2 * p + int(rng.integers(0, 20)), p))
+        phi = rng.random((x.shape[0], bits))
+        factor = scipy.linalg.cho_factor(x.T @ x + ridge * np.eye(p))
+        weights = scipy.linalg.cho_solve(factor, x.T @ phi)
+        thresholds = (x @ weights).mean(axis=0)
+        model = fit_projection(x, phi, ridge=ridge)
+        assert np.max(np.abs(model.weights - weights)) <= 1e-10 * np.max(np.abs(weights))
+        assert np.max(np.abs(model.thresholds - thresholds)) <= 1e-10 * np.max(
+            np.abs(thresholds)
+        )
 
     def test_rank_deficient_without_ridge_fails(self):
         x = np.zeros((4, 3))

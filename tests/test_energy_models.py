@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from emhash.energy_models import (
     _ROW_BLOCK,
+    _ksh_coupling,
     SimilarityView,
     TrainConfig,
     batch_solve_shared,
@@ -131,11 +132,11 @@ class TestKshTailSystems:
         m, n, d = 6, 15, 4
         phi1 = rng.random((m, d))
         s = rng.choice([-1, 1], size=(n, m))
-        view = SimilarityView(s=s)
-        a, b, scales = ksh_tail_systems(phi1, view, 2.0)
+        x = 2.0 * phi1 - 1.0
+        a = _ksh_coupling(x)
+        b, scales = ksh_tail_systems(a, x, s[m:], 2.0)
         assert b.shape == (n - m, d) and scales.shape == (n - m,)
         # per-row direct builds reproduce the shared matrix and vectors
-        x = 2.0 * phi1 - 1.0
         for row in rng.choice(n - m, size=min(10, n - m), replace=False):
             a_ref = np.zeros((d, d))
             b_ref = np.zeros(d)
@@ -149,10 +150,13 @@ class TestKshTailSystems:
             np.testing.assert_allclose(b[row], b_ref, atol=1e-12)
 
     def test_orthogonal_sign_columns_zero_the_matrix(self):
-        phi1 = np.array([[1.0, 1.0], [1.0, 0.0]])  # x columns (1,1) and (1,-1)
-        view = SimilarityView(s=np.ones((4, 2), dtype=np.int8))
-        a, _, _ = ksh_tail_systems(phi1, view, 2.0)
-        np.testing.assert_array_equal(a, np.zeros((2, 2)))
+        x = np.array([[1.0, 1.0], [1.0, -1.0]])  # orthogonal sign columns
+        np.testing.assert_array_equal(_ksh_coupling(x), np.zeros((2, 2)))
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        x = np.ones((3, 2))
+        with pytest.raises(ValueError, match="3 anchors"):
+            ksh_tail_systems(_ksh_coupling(x), x, np.ones((4, 2), dtype=np.int8), 2.0)
 
 
 class TestBatchSolveShared:
@@ -510,7 +514,9 @@ def assert_tail_matches_rows(phi, s, half_range, atol):
     """ksh_tail_pass against the per-row dispatcher, one tail row at a time."""
     view = SimilarityView(s=s)
     lin = linearization(half_range)
-    a, b, scales = ksh_tail_systems(phi, view, half_range)
+    x = 2.0 * phi - 1.0
+    a = _ksh_coupling(x)
+    b, scales = ksh_tail_systems(a, x, s[view.m :], half_range)
     out = ksh_tail_pass(phi, view, lin)
     assert out.shape == b.shape
     for i, row in enumerate(b):

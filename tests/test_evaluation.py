@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emhash.dataio import label_similarity
 from emhash.energy_models import SimilarityView, TrainConfig, em_ksh_train, splh_energy
@@ -24,6 +26,37 @@ from emhash.evaluation import (
 from emhash.mean_field import fit_linearization, sigmoid
 
 LIN = fit_linearization(2.0)
+
+
+def scalar_rank(query, db):
+    """Stable argsort of the per-pair distances (bits - q.d) / 2 in Python integers."""
+    bits = len(query)
+    q = [int(v) for v in query]
+    dist = [(bits - sum(a * int(b) for a, b in zip(q, row))) // 2 for row in db]
+    return np.argsort(np.array(dist, dtype=np.int64), kind="stable")
+
+
+def rank_instance(seed, bits, queries, db, pool):
+    """Query and database codes whose rows come from ``pool`` distinct codes,
+    so a small pool forces ties."""
+    rng = np.random.default_rng(seed)
+    codes = rng.choice([-1, 1], size=(pool, bits)).astype(np.int8)
+    return (
+        codes[rng.integers(0, pool, size=queries)],
+        codes[rng.integers(0, pool, size=db)],
+    )
+
+
+@st.composite
+def rank_instances(draw):
+    db = draw(st.integers(1, 40))
+    return rank_instance(
+        draw(st.integers(0, 2**32 - 1)),
+        bits=draw(st.one_of(st.sampled_from([1, 2, 255, 256, 300]), st.integers(1, 300))),
+        queries=draw(st.integers(1, RELEVANCE_BLOCK + 8)),
+        db=db,
+        pool=draw(st.integers(1, db)),
+    )
 
 
 class TestHammingRank:
@@ -63,6 +96,36 @@ class TestHammingRank:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             hamming_rank(np.array([1, 1, 1]), np.ones((2, 2), dtype=np.int8))
+        with pytest.raises(ValueError, match="code length"):
+            hamming_rank(np.ones((4, 3)), np.ones((2, 2), dtype=np.int8))
+
+    def test_rejects_non_sign_codes(self):
+        with pytest.raises(ValueError, match="only"):
+            hamming_rank(np.array([[1, 0]]), np.ones((2, 2), dtype=np.int8))
+        with pytest.raises(ValueError, match="only"):
+            hamming_rank(np.ones((1, 2)), np.full((2, 2), 2, dtype=np.int8))
+
+    @pytest.mark.parametrize("bits, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16)])
+    def test_distances_use_the_smallest_unsigned_type(self, bits, dtype):
+        db = np.ones((3, bits), dtype=np.int8)
+        db[1] = -1
+        dist = hamming_distances(np.ones((2, bits), dtype=np.int8), db)
+        assert dist.dtype == dtype
+        np.testing.assert_array_equal(dist, [[0, bits, 0], [0, bits, 0]])
+
+    @settings(deadline=None)
+    @given(rank_instances())
+    @example(rank_instance(0, bits=1, queries=5, db=9, pool=9))
+    @example(rank_instance(1, bits=3, queries=RELEVANCE_BLOCK + 3, db=20, pool=2))  # ties
+    @example(rank_instance(2, bits=256, queries=7, db=30, pool=30))  # uint16 distances
+    @example(rank_instance(3, bits=300, queries=RELEVANCE_BLOCK + 1, db=25, pool=4))
+    def test_block_matches_scalar_stable_argsort(self, instance):
+        queries, db = instance
+        rankings = hamming_rank(queries, db)
+        assert rankings.shape == (queries.shape[0], db.shape[0])
+        for qi, query in enumerate(queries):
+            np.testing.assert_array_equal(rankings[qi], scalar_rank(query, db))
+        np.testing.assert_array_equal(hamming_rank(queries[-1], db), rankings[-1])
 
 
 class TestAveragePrecision:
@@ -83,14 +146,14 @@ class TestAveragePrecision:
 
 
 def scalar_per_query_ap(query_codes, query_labels, db_codes, db_labels, exclude_self=False):
-    """Per-query AP with relevance taken from label_similarity pair by pair.
+    """Per-query AP from scalar rankings and label_similarity pair by pair.
 
-    The reference the blocked relevance of mean_average_precision must match;
-    NaN marks a query with no relevant database item.
+    The reference the blocked ranking and relevance of mean_average_precision
+    must match; NaN marks a query with no relevant database item.
     """
     aps = np.full(len(query_labels), np.nan)
     for qi in range(len(query_labels)):
-        ranking = hamming_rank(query_codes[qi], db_codes)
+        ranking = scalar_rank(query_codes[qi], db_codes)
         if exclude_self:
             ranking = ranking[ranking != qi]
         rel = np.fromiter(
@@ -132,6 +195,28 @@ class TestMeanAveragePrecision:
         assert result.skipped == int(np.isnan(expected).sum())
         if kind == "partly-unlabeled":
             assert result.skipped > 0
+
+    @settings(deadline=None, max_examples=25)
+    @given(rank_instances(), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(rank_instance(4, bits=256, queries=RELEVANCE_BLOCK + 5, db=RELEVANCE_BLOCK + 5,
+                           pool=6), True, 0)
+    @example(rank_instance(5, bits=1, queries=RELEVANCE_BLOCK + 1, db=30, pool=2), False, 1)
+    def test_per_query_ap_matches_scalar_oracle_on_any_block(self, instance, exclude_self, seed):
+        queries, db = instance
+        if exclude_self:
+            queries = db
+        rng = np.random.default_rng(seed)
+        db_labels = _label_pool("partly-unlabeled", rng, db.shape[0])
+        query_labels = db_labels if exclude_self else _label_pool(
+            "partly-unlabeled", rng, queries.shape[0]
+        )
+        expected = scalar_per_query_ap(queries, query_labels, db, db_labels, exclude_self)
+        if np.isnan(expected).all():
+            with pytest.raises(ValueError, match="no query"):
+                mean_average_precision(queries, query_labels, db, db_labels, exclude_self)
+            return
+        result = mean_average_precision(queries, query_labels, db, db_labels, exclude_self)
+        np.testing.assert_array_equal(result.per_query_ap, expected)
 
     def test_relevance_memory_does_not_grow_with_query_count(self):
         rng = np.random.default_rng(11)

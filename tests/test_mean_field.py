@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emhash.mean_field import (
     MAX_HALF_RANGE,
@@ -33,6 +37,14 @@ def simpson_slope(half_range: float, panels: int = 20001) -> float:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return 1.5 * (h / 3.0) * float(w @ ys) / half_range**3
+
+
+def quad_slope(half_range: float) -> float:
+    """The slope by scipy's adaptive quadrature of the same tanh moment."""
+    moment, _ = scipy.integrate.quad(
+        lambda x: x * np.tanh(0.5 * x), 0.0, half_range, epsabs=1e-12, epsrel=1e-12
+    )
+    return 1.5 * moment / half_range**3
 
 
 def raw_linearization(half_range: float, slope: float) -> LinearizedSigmoid:
@@ -77,6 +89,19 @@ class TestFitLinearization:
             fit_linearization(2.5997)
         with pytest.raises(ValueError, match="2.5997"):
             fit_linearization(3.0)
+
+    @given(st.floats(1e-6, 2.5996))
+    @example(2.0)
+    @example(2.5996)
+    @example(1e-6)
+    def test_slope_matches_adaptive_quadrature(self, half_range):
+        # The fit refuses both ends of (0, MAX_HALF_RANGE): below about 1e-7
+        # the slope rounds to the tangent 0.25, and above the crossover near
+        # 2.59968 it breaks the solvability condition.
+        expected = quad_slope(half_range)
+        lin = fit_linearization(half_range)
+        assert abs(lin.slope - expected) <= 2e-15 * expected
+        assert abs(lin.intercept - 0.5) <= 1e-15
 
     def test_slope_bounds_on_grid(self):
         for half_range in np.arange(0.1, 2.51, 0.2):
@@ -209,6 +234,24 @@ class TestSolveAffine:
         lhs = sys.scale * np.eye(d) - 2.0 * lin.slope * a
         rhs = 2.0 * lin.slope / sys.scale * (a @ b)
         np.testing.assert_allclose(lhs @ v, rhs, atol=1e-10)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 24),
+        st.one_of(st.sampled_from([0.05, 2.0, 2.5996]), st.floats(0.05, 2.5996)),
+    )
+    def test_matches_scipy_positive_definite_solve(self, seed, dim, half_range):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim))
+        a = np.triu(a) + np.triu(a, 1).T
+        sys = make_system(a, rng.normal(size=dim), half_range)
+        lin = fit_linearization(half_range)
+        lhs = sys.scale * np.eye(dim) - 2.0 * lin.slope * sys.a
+        rhs = (2.0 * lin.slope / sys.scale) * (sys.a @ sys.b)
+        expected = scipy.linalg.solve(lhs, rhs, assume_a="pos")
+        v = solve_affine(sys, lin)
+        assert np.max(np.abs(v - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
 
     def test_zero_matrix_short_circuits(self):
         lin = fit_linearization(2.0)
