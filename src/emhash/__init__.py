@@ -10,7 +10,6 @@ from .codec import ProjectionModel, encode, encode_batch, fit_projection, round_
 from .dataio import (
     Dataset,
     full_similarity,
-    label_similarity,
     load_feature_matrix,
     read_codes,
     sample_similarity_columns,
@@ -33,16 +32,7 @@ from .energy_models import (
     splh_energy,
     splh_system,
 )
-from .evaluation import (
-    RankingResult,
-    average_precision,
-    brute_force_min_energy,
-    fixed_point_oracle,
-    hamming_rank,
-    ksh_row_consistency,
-    mean_average_precision,
-    splh_row_consistency,
-)
+from .evaluation import RankingResult, average_precision, hamming_rank, mean_average_precision
 from .mean_field import (
     LinearizedSigmoid,
     RowSystem,

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
-Subcommands: ``train``, ``encode``, ``eval``, ``bench``, ``linearize``,
-``synth``.  Every option can also come from a plain-text ``key=value``
-config file via ``--config``; explicit flags win over file values, file
-values win over defaults.  ``train`` and ``bench`` write a manifest in that
-same format (plus informational ``format.*`` / ``timing.*`` keys, ignored on
-load), so any run can be reproduced with ``--config <manifest>``.
+Subcommands: ``train``, ``encode``, ``eval``, ``linearize``, ``synth``.
+Every option can also come from a plain-text ``key=value`` config file via
+``--config``; explicit flags win over file values, file values win over
+defaults.  ``train`` writes a manifest in that same format (plus
+informational ``format.*`` / ``timing.*`` keys, ignored on load) and the
+other output-producing subcommands a ``<output>.manifest`` sidecar, so any
+run can be reproduced with ``--config <manifest>``.
 
 All randomness is seeded, so repeating a run from its manifest reproduces
 the data outputs byte for byte.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +29,6 @@ from .energy_models import (
     em_ksh_train,
     em_lfh_train,
     em_splh_train,
-    ksh_tail_pass,
 )
 
 __all__ = ["main", "RunConfig"]
@@ -61,10 +60,6 @@ class _Opt:
 _METHODS = ("em-ksh", "em-splh", "em-lfh")
 _CODE_FORMATS = ("text", "packed")
 _FEATURE_FORMATS = ("csv", "binary")
-_THREADS_HELP = (
-    "accepted so existing manifests keep loading; "
-    "changes neither the work done nor the outputs"
-)
 
 _OPTS: dict[str, list[_Opt]] = {
     "train": [
@@ -78,7 +73,11 @@ _OPTS: dict[str, list[_Opt]] = {
         _Opt("linear_range", float, 2.0, "sigmoid linearization half-interval"),
         _Opt("ridge", float, 1.0, "out-of-sample ridge strength"),
         _Opt("seed", int, 42, "initialization and sampling seed"),
-        _Opt("threads", int, 1, _THREADS_HELP),
+        _Opt(
+            "threads", int, 1,
+            "accepted so existing manifests keep loading; "
+            "changes neither the work done nor the outputs",
+        ),
         _Opt("standardize", bool, True, "standardize features before use"),
         _Opt("codes_format", str, "text", "codes file layout", _CODE_FORMATS),
         _Opt("out_dir", str, None, "directory for codes, model and manifest", required=True),
@@ -100,18 +99,6 @@ _OPTS: dict[str, list[_Opt]] = {
         _Opt("query_labels", str, None, "query label file", required=True),
         _Opt("exclude_self", bool, False, "drop database item i from the ranking of query i"),
         _Opt("out", str, "", "metrics JSON output path (optional)"),
-    ],
-    "bench": [
-        _Opt("grid_n", str, "", "comma-separated point counts to time"),
-        _Opt("grid_d", str, "", "comma-separated code lengths to profile"),
-        _Opt("points", int, 3000, "point count for the code-length grid"),
-        _Opt("anchors", int, 500, "anchor count"),
-        _Opt("bits", int, 16, "code length for the point-count grid"),
-        _Opt("sweeps", int, 3, "anchor sweeps"),
-        _Opt("linear_range", float, 2.0, "sigmoid linearization half-interval"),
-        _Opt("seed", int, 42, "synthetic data seed"),
-        _Opt("threads", int, 1, _THREADS_HELP),
-        _Opt("out", str, "", "timing table JSON output path (optional)"),
     ],
     "linearize": [
         _Opt("linear_range", float, 2.0, "half-interval to fit the sigmoid on"),
@@ -345,86 +332,6 @@ def run_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    try:
-        sizes = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise CliError(f"grid must be comma-separated integers, got {text!r}") from None
-    if any(size < 2 for size in sizes):
-        raise CliError("grid sizes must be >= 2")
-    return sizes
-
-
-def _bench_labels(n: int, seed: int) -> list[int]:
-    rng = np.random.default_rng([seed, n])
-    labels = rng.integers(0, 2, size=n)
-    labels[0], labels[1] = 0, 1  # both classes always present
-    return [int(v) for v in labels]
-
-
-def run_bench(cfg: RunConfig) -> int:
-    grid_n = _parse_grid(cfg["grid_n"])
-    grid_d = _parse_grid(cfg["grid_d"])
-    if not grid_n and not grid_d:
-        raise CliError("provide --grid-n and/or --grid-d")
-    lin = mean_field.fit_linearization(cfg["linear_range"])
-    rows: list[dict] = []
-
-    # Point-count cases vary n at --bits; code-length cases vary bits at --points.
-    cases = [("n", n, cfg["bits"]) for n in grid_n] + [("d", cfg["points"], d) for d in grid_d]
-    for grid, n, bits in cases:
-        anchors = min(cfg["anchors"], n)
-        dataset = dataio.Dataset(np.zeros((n, 1)), _bench_labels(n, cfg["seed"]))
-        view, _ = dataio.sample_similarity_columns(dataset, anchors, cfg["seed"])
-        tcfg = TrainConfig(
-            bits=bits, anchors=anchors, sweeps=cfg["sweeps"],
-            linear_range=cfg["linear_range"], seed=cfg["seed"],
-        )
-        start = time.perf_counter()
-        em_ksh_train(view, tcfg, lin)
-        elapsed = time.perf_counter() - start
-        row = {"grid": grid, "size": n if grid == "n" else bits, "train_seconds": elapsed}
-        if grid == "n":
-            print(f"grid=n size={n} anchors={anchors} train_seconds={elapsed:.3f}")
-        else:
-            # Peak temporary memory of the one-shot tail stage alone.
-            anchor_phi = np.random.default_rng([cfg["seed"], bits]).random((anchors, bits))
-            tracemalloc.start()
-            ksh_tail_pass(anchor_phi, view, lin)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            row["tail_peak_bytes"] = peak
-            print(
-                f"grid=d size={bits} points={n} train_seconds={elapsed:.3f} "
-                f"tail_peak_bytes={peak}"
-            )
-        rows.append(row)
-
-    for kind in ("n", "d"):
-        series = [row for row in rows if row["grid"] == kind]
-        for prev, cur in zip(series, series[1:]):
-            ratio = cur["train_seconds"] / max(prev["train_seconds"], 1e-12)
-            print(
-                f"ratio grid={kind} sizes={prev['size']}->{cur['size']} "
-                f"time_ratio={ratio:.3f}"
-            )
-            if kind == "d":
-                mem_ratio = cur["tail_peak_bytes"] / max(prev["tail_peak_bytes"], 1)
-                print(
-                    f"ratio grid=d sizes={prev['size']}->{cur['size']} "
-                    f"tail_memory_ratio={mem_ratio:.3f}"
-                )
-    if cfg["out"]:
-        import json
-
-        Path(cfg["out"]).write_text(json.dumps({"rows": rows}, indent=2) + "\n")
-        _write_sidecar_manifest(cfg["out"], cfg)
-        print(f"table={cfg['out']}")
-    return 0
-
-
 def run_linearize(cfg: RunConfig) -> int:
     half_range = cfg["linear_range"]
     lin = mean_field.fit_linearization(half_range)
@@ -462,7 +369,6 @@ _RUNNERS = {
     "train": run_train,
     "encode": run_encode,
     "eval": run_eval,
-    "bench": run_bench,
     "linearize": run_linearize,
     "synth": run_synth,
 }
@@ -471,7 +377,6 @@ _SUMMARIES = {
     "train": "learn codes, fit the out-of-sample map, write outputs and a manifest",
     "encode": "encode a feature file with a trained projection model",
     "eval": "Hamming-ranking mean average precision of codes against labels",
-    "bench": "time training across point counts or code lengths",
     "linearize": "inspect the sigmoid linearization for a half-interval",
     "synth": "generate a labeled clustered-Gaussian feature CSV",
 }

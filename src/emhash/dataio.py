@@ -12,7 +12,7 @@ relevance blocks of evaluation -- comes from one builder,
 :func:`similarity_block`.  It reads labels encoded once by
 :func:`index_labels` into tag -> positions lists, where a class id ``c``
 counts as the singleton tag set ``{c}`` and unlabeled positions are listed
-apart.  :func:`label_similarity` is the scalar definition it reproduces.
+apart.
 
 Binary layouts (all little-endian, magic first for corruption detection):
 
@@ -43,7 +43,6 @@ __all__ = [
     "load_label_file",
     "write_label_file",
     "standardize_features",
-    "label_similarity",
     "index_labels",
     "similarity_block",
     "full_similarity",
@@ -103,10 +102,14 @@ def _parse_label(token: str, path: str | Path, lineno: int) -> Label:
         raise ValueError(f"{path}:{lineno}: bad label {token!r}") from None
 
 
-def _format_label(label: Label) -> str:
+def _format_label(label: Label, position: int) -> str:
     if label is None:
         return ""
     if isinstance(label, frozenset):
+        if not label:
+            raise ValueError(
+                f"label {position} is an empty tag set, which would read back as unlabeled"
+            )
         body = ";".join(str(t) for t in sorted(label))
         # A trailing separator keeps a single tag distinguishable from a class id.
         return body + (";" if len(label) == 1 else "")
@@ -180,13 +183,17 @@ def write_feature_matrix(path: str | Path, features: np.ndarray) -> None:
 
 
 def write_feature_csv(path: str | Path, features: np.ndarray, labels: list | None = None) -> None:
-    """Write a feature CSV, appending a label field per row when given."""
+    """Write a feature CSV, appending a label field per row when given.
+
+    Raises ``ValueError`` naming the position of an empty tag set, as
+    :func:`write_label_file` does.
+    """
     features = np.asarray(features, dtype=float)
     lines = []
     for i, row in enumerate(features):
         fields = [repr(float(v)) for v in row]
         if labels is not None:
-            fields.append(_format_label(labels[i]))
+            fields.append(_format_label(labels[i], i))
         lines.append(",".join(fields))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
@@ -205,7 +212,13 @@ def load_label_file(path: str | Path) -> list:
 
 
 def write_label_file(path: str | Path, labels: list) -> None:
-    Path(path).write_text("\n".join(_format_label(l) for l in labels) + ("\n" if labels else ""))
+    """Write one label token per line, the format :func:`load_label_file` reads.
+
+    Raises ``ValueError`` naming the position of an empty tag set: its empty
+    token would read back as an unlabeled point.
+    """
+    lines = [_format_label(label, k) for k, label in enumerate(labels)]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def standardize_features(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,22 +236,6 @@ def standardize_features(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return (features - offset) * scale, offset, scale
 
 
-def label_similarity(a: Label, b: Label) -> int:
-    """Pairwise semantic similarity: +1 similar, -1 dissimilar, 0 unobserved.
-
-    Class ids are similar iff equal; tag sets are similar iff they
-    intersect; a class id against a tag set acts as a singleton set.  Any
-    missing label makes the pair unobserved.
-    """
-    if a is None or b is None:
-        return 0
-    if isinstance(a, frozenset) or isinstance(b, frozenset):
-        aset = a if isinstance(a, frozenset) else frozenset((a,))
-        bset = b if isinstance(b, frozenset) else frozenset((b,))
-        return 1 if aset & bset else -1
-    return 1 if a == b else -1
-
-
 def index_labels(labels: list) -> tuple[int, dict, np.ndarray]:
     """Encode labels once as (size, tag -> ascending positions, unlabeled positions)."""
     tags: dict = {}
@@ -254,7 +251,7 @@ def index_labels(labels: list) -> tuple[int, dict, np.ndarray]:
 
 
 def similarity_block(rows: tuple, cols: tuple) -> np.ndarray:
-    """Int8 block whose entry (i, j) is :func:`label_similarity` of row i, column j."""
+    """Int8 block whose entry (i, j) is the similarity (+1, -1 or 0) of row i to column j."""
     n_rows, row_tags, row_unlabeled = rows
     n_cols, col_tags, col_unlabeled = cols
     out = np.full((n_rows, n_cols), -1, dtype=np.int8)
@@ -303,7 +300,12 @@ def sample_similarity_columns(dataset: Dataset, m: int, seed: int):
 
 
 def write_codes(path: str | Path, codes: np.ndarray, fmt: str = "text") -> None:
-    """Write sign codes as text lines or in the packed binary layout."""
+    """Write sign codes as text lines or in the packed binary layout.
+
+    The packed header stores the code length, so every shape reads back.
+    The text format stores none: codes with zero rows read back as shape
+    ``(0, 0)``.
+    """
     codes = np.asarray(codes)
     if codes.ndim != 2:
         raise ValueError(f"codes must be 2-d, got shape {codes.shape}")

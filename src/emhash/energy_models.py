@@ -43,6 +43,7 @@ from .mean_field import (
     renormalize_and_squash,
     sigmoid,
     solve_affine,  # noqa: F401 -- alias the benchmark's tracer smoke test wraps and restores
+    solve_homogeneous,
     solve_row_system,
 )
 
@@ -265,7 +266,7 @@ def ksh_tail_pass(
     The shared coupling and its eigendecomposition are computed once; each
     block of ``_ROW_BLOCK`` rows gets its linear terms and scales from
     :func:`ksh_tail_systems`, so temporaries stay bounded by the block.
-    Dispatches like ``solve_row_system(..., homogeneous=False)``: rows without
+    Dispatches like :func:`~emhash.mean_field.solve_row_system`: rows without
     evidence stay at 0.5 and a zero shared matrix gives ``sigmoid(b / scale)``.
     """
     m = sim.m
@@ -316,7 +317,7 @@ def _train(
     for _ in range(cfg.sweeps):
         for i in range(m):
             sys = anchor_system(phi[:m], sim, i, lin.half_range)
-            phi[i] = solve_row_system(sys, lin, homogeneous=False)
+            phi[i] = solve_row_system(sys, lin)
     if sim.n > m:
         phi[m:] = tail_pass(phi, sim, lin)
     return phi
@@ -371,8 +372,10 @@ def em_splh_train(
 ) -> np.ndarray:
     """Learn soft codes for the correlation energy in one exact solve.
 
-    The homogeneous path yields the single shared bit column directly; no
-    initialization is involved and every bit column is a copy of it.
+    The system is homogeneous by construction, so the homogeneous eigenvector
+    path, re-normalized and squashed, yields the single shared bit column
+    directly; no initialization is involved and every bit column is a copy
+    of it.
     """
     lin = _resolve_linearization(cfg, lin)
     raw = np.asarray(sim_full)
@@ -381,7 +384,7 @@ def em_splh_train(
     if s.size == 0 or np.max(np.abs(s)) == 0.0:
         raise ValueError("all-zero similarity admits no solution")
     sys = splh_system(s, cfg.linear_range)
-    column = solve_row_system(sys, lin)
+    column = renormalize_and_squash(solve_homogeneous(sys, lin), sys.b, sys.scale, lin.half_range)
     return np.repeat(column[:, None], cfg.bits, axis=1)
 
 
@@ -451,9 +454,7 @@ def _lfh_tail_pass(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid)
     x = 2.0 * phi - 1.0
     tail_s = sim.s[m:, :].astype(float)
     return np.array([
-        solve_row_system(
-            _lfh_build(x[:m], tail_s[i], x[m + i], lin.half_range, None), lin, homogeneous=False
-        )
+        solve_row_system(_lfh_build(x[:m], tail_s[i], x[m + i], lin.half_range, None), lin)
         for i in range(sim.n - m)
     ])
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MIN_HALF_RANGE",
     "MAX_HALF_RANGE",
     "LinearizedSigmoid",
     "RowSystem",
@@ -39,9 +40,15 @@ __all__ = [
     "solve_row_system",
 ]
 
-# Largest half-range for which the fitted slope automatically satisfies
+# Smallest half-range fitted.  Below about 1e-7 the fitted slope rounds to the
+# tangent slope 0.25, which the LinearizedSigmoid invariants refuse; 1e-6
+# leaves a margin.
+MIN_HALF_RANGE = 1e-6
+
+# Rounded upper bound on the half-range.  The fitted slope satisfies
 # 2 * slope * half_range < 1 (the solver-matrix positive-definiteness
-# condition); the true crossover sits at ~2.59968.
+# condition) only below the true crossover at about 2.5996819, and the fit
+# refuses the thin band from there up to this bound as well.
 MAX_HALF_RANGE = 2.5997
 
 # Infinity-norm below which a vector or matrix is treated as exactly zero
@@ -120,11 +127,15 @@ def fit_linearization(half_range: float) -> LinearizedSigmoid:
     24-node Gauss-Legendre rule; the moment is written in the rule's unit
     variable so no power of ``half_range`` can underflow.
 
-    Raises ``ValueError`` outside (0, MAX_HALF_RANGE): beyond the upper
-    bound the fitted slope no longer guarantees an invertible solve.
+    Raises ``ValueError`` outside [MIN_HALF_RANGE, MAX_HALF_RANGE), and at or
+    past the crossover near 2.5996819 just below the upper bound: there the
+    fitted slope no longer guarantees an invertible solve.
     """
-    if half_range <= 0.0:
-        raise ValueError(f"half_range must be positive, got {half_range}")
+    if not half_range >= MIN_HALF_RANGE:
+        raise ValueError(
+            f"half_range must be at least {MIN_HALF_RANGE}, got {half_range}; "
+            "below it the fitted slope rounds to the tangent slope 0.25"
+        )
     if half_range >= MAX_HALF_RANGE:
         raise ValueError(
             f"half_range must stay below {MAX_HALF_RANGE}; beyond it the fitted "
@@ -134,6 +145,11 @@ def fit_linearization(half_range: float) -> LinearizedSigmoid:
     u = 1.0 + _GL_NODES
     slope = 0.375 * float(_GL_WEIGHTS @ (u * np.tanh(0.25 * half_range * u))) / half_range
     intercept = 0.5 * float(_GL_WEIGHTS @ sigmoid(half_range * _GL_NODES))
+    if 2.0 * slope >= 1.0 / half_range:
+        raise ValueError(
+            f"half_range must stay below the solvability crossover near 2.5996819, "
+            f"got {half_range}; there 2 * slope * half_range reaches 1"
+        )
     return LinearizedSigmoid(half_range=half_range, slope=slope, intercept=intercept)
 
 
@@ -305,31 +321,23 @@ def renormalize_and_squash(
     return sigmoid(gain * (2.0 * (vp - lo) / np.maximum(span, DEGENERATE_SPAN) - 1.0))
 
 
-def solve_row_system(
-    sys: RowSystem, lin: LinearizedSigmoid, *, homogeneous: bool = True
-) -> np.ndarray:
-    """Solve one consistency system end to end.
+def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
+    """Solve one consistency system of a supervised energy end to end.
 
     Dispatch:
 
-    * ``scale == 0`` (zero system): no evidence, uniform 0.5 marginals.
+    * b == 0 (which covers the zero system, ``scale == 0``): no observed
+      similarity constrains the row, so uniform 0.5 marginals.
     * ``A ~ 0`` with b != 0: the consistency equation is already explicit,
       ``sigmoid(b / scale)`` (the scale construction bounds the argument,
       so no re-normalization is needed and none is applied).
-    * b == 0: with ``homogeneous`` (energies that are homogeneous by
-      construction), the homogeneous eigenvector path, then re-normalize
-      and squash; without it (energies whose evidence lives in b), no
-      observed similarity constrains the row and the uniform 0.5
-      marginals are returned.
     * otherwise: affine closed-form path, then re-normalize and squash.
+
+    Energies that are homogeneous by construction (b == 0 always) take
+    :func:`solve_homogeneous` directly instead.
     """
-    if sys.scale == 0.0:
-        return np.full(sys.dim, 0.5)
     if np.max(np.abs(sys.b)) < ZERO_TOL:
-        if not homogeneous:
-            return np.full(sys.dim, 0.5)
-        v = solve_homogeneous(sys, lin)
-        return renormalize_and_squash(v, sys.b, sys.scale, lin.half_range)
+        return np.full(sys.dim, 0.5)
     if np.max(np.abs(sys.a)) < ZERO_TOL:
         return sigmoid(sys.b / sys.scale)
     v = solve_affine(sys, lin)

@@ -1,0 +1,137 @@
+"""Slow, literal references that the tests check the program against.
+
+None of this is a production path.  ``label_similarity`` is the scalar
+definition that ``dataio.similarity_block`` reproduces in bulk; the rest
+cross-checks the closed-form training path: a damped iteration of the exact
+consistency equations, and exhaustive minimization of an energy over all
+code matrices of a tiny instance.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from emhash.dataio import Label
+from emhash.energy_models import TrainConfig
+from emhash.mean_field import sigmoid
+
+# Size guard for the damped-iteration oracle; it is a reference tool, not a
+# production path, and its dense quadratic cost is only acceptable on small
+# instances.
+ORACLE_MAX_POINTS = 2000
+
+
+def label_similarity(a: Label, b: Label) -> int:
+    """Pairwise semantic similarity: +1 similar, -1 dissimilar, 0 unobserved.
+
+    Class ids are similar iff equal; tag sets are similar iff they
+    intersect; a class id against a tag set acts as a singleton set.  Any
+    missing label makes the pair unobserved.
+    """
+    if a is None or b is None:
+        return 0
+    if isinstance(a, frozenset) or isinstance(b, frozenset):
+        aset = a if isinstance(a, frozenset) else frozenset((a,))
+        bset = b if isinstance(b, frozenset) else frozenset((b,))
+        return 1 if aset & bset else -1
+    return 1 if a == b else -1
+
+
+def ksh_row_consistency(phi: np.ndarray, sim_full: np.ndarray, row: int) -> np.ndarray:
+    """Exact squared-fit consistency argument of one marginal row."""
+    phi = np.asarray(phi, dtype=float)
+    s = np.asarray(sim_full, dtype=float)
+    bits = phi.shape[1]
+    x = 2.0 * phi - 1.0
+    xi = x[row]
+    g = x.T @ x
+    coupling = -((g @ xi) - np.diag(g) * xi - xi * (xi @ xi) + xi**3)
+    evidence = bits * (s[row] @ x - s[row, row] * xi)
+    return coupling + evidence
+
+
+def splh_row_consistency(phi: np.ndarray, sim_full: np.ndarray, row: int) -> np.ndarray:
+    """Exact correlation consistency argument of one marginal row."""
+    phi = np.asarray(phi, dtype=float)
+    s = np.asarray(sim_full, dtype=float)
+    x = 2.0 * phi - 1.0
+    return s[row] @ x - s[row, row] * x[row]
+
+
+@dataclass(frozen=True, eq=False)
+class OracleResult:
+    phi: np.ndarray
+    converged: bool
+    iterations: int
+
+
+def fixed_point_oracle(
+    row_consistency,
+    sim_full: np.ndarray,
+    cfg: TrainConfig,
+    damping: float = 0.5,
+    max_iters: int = 10_000,
+    tol: float = 1e-8,
+) -> OracleResult:
+    """Damped coordinate iteration of the exact consistency equations.
+
+    Starting from seeded uniform marginals, sweeps the rows in index order
+    and applies
+
+        phi_row <- (1 - damping) * phi_row + damping * sigmoid(arg(phi, row))
+
+    in place, so later rows see earlier updates within the same sweep.
+    Stops when the largest marginal change across a full sweep drops below
+    ``tol`` or after ``max_iters`` sweeps.  Non-convergence is reported on
+    the result, not raised: this is a reference oracle for comparing
+    against the closed-form path, and callers resample instances they
+    cannot certify.  ``row_consistency(phi, sim_full, row)`` must return
+    the exact argument vector of one row; see :func:`ksh_row_consistency`
+    and :func:`splh_row_consistency`.
+    """
+    s = np.asarray(sim_full, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"full similarity must be square, got shape {s.shape}")
+    if s.shape[0] > ORACLE_MAX_POINTS:
+        raise ValueError(f"oracle supports at most {ORACLE_MAX_POINTS} points")
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    rng = np.random.default_rng(cfg.seed)
+    phi = rng.random((s.shape[0], cfg.bits))
+    for sweep in range(1, max_iters + 1):
+        max_delta = 0.0
+        for row in range(s.shape[0]):
+            updated = (1.0 - damping) * phi[row] + damping * sigmoid(
+                row_consistency(phi, s, row)
+            )
+            max_delta = max(max_delta, float(np.max(np.abs(updated - phi[row]))))
+            phi[row] = updated
+        if max_delta < tol:
+            return OracleResult(phi=phi, converged=True, iterations=sweep)
+    return OracleResult(phi=phi, converged=False, iterations=max_iters)
+
+
+def brute_force_min_energy(energy, sim_full: np.ndarray, bits: int):
+    """Exhaustively minimize an energy over all sign code matrices.
+
+    Enumerates every matrix in {-1, +1}^(n x bits) and returns
+    ``(minimizer, energy)``; the first minimizer in enumeration order wins.
+    Guarded to 4096 candidates.
+    """
+    s = np.asarray(sim_full, dtype=float)
+    n = s.shape[0]
+    total = n * bits
+    if 2**total > 4096:
+        raise ValueError(f"instance too large to enumerate: 2**{total} candidates")
+    best_codes = None
+    best_energy = np.inf
+    for key in range(2**total):
+        flat = np.array([(key >> pos) & 1 for pos in range(total)], dtype=np.int8)
+        codes = (flat * 2 - 1).reshape(n, bits)
+        value = energy(codes, s)
+        if value < best_energy:
+            best_energy = value
+            best_codes = codes
+    return best_codes, float(best_energy)

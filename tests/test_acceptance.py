@@ -31,12 +31,7 @@ from emhash.energy_models import (
     ksh_tail_pass,
     lfh_system,
 )
-from emhash.evaluation import (
-    brute_force_min_energy,
-    fixed_point_oracle,
-    ksh_row_consistency,
-    mean_average_precision,
-)
+from emhash.evaluation import mean_average_precision
 from emhash.mean_field import (
     RowSystem,
     fit_linearization,
@@ -44,6 +39,7 @@ from emhash.mean_field import (
     renormalize_and_squash,
     solve_affine,
 )
+from oracles import brute_force_min_energy, fixed_point_oracle, ksh_row_consistency
 
 LIN = fit_linearization(2.0)
 

@@ -252,33 +252,6 @@ class TestDenseBudget:
         assert not (tmp_path / "run").exists()
 
 
-class TestBench:
-    def test_point_grid_reports_ratio(self, tmp_path, capsys):
-        table = tmp_path / "table.json"
-        assert main([
-            "bench", "--grid-n", "200,400", "--anchors", "50", "--bits", "4",
-            "--sweeps", "2", "--out", str(table),
-        ]) == 0
-        printed = capsys.readouterr().out
-        assert "grid=n size=200" in printed
-        assert "time_ratio=" in printed
-        rows = json.loads(table.read_text())["rows"]
-        assert [row["size"] for row in rows] == [200, 400]
-
-    def test_bit_grid_reports_memory(self, tmp_path, capsys):
-        assert main([
-            "bench", "--grid-d", "4,8", "--points", "300", "--anchors", "50",
-            "--sweeps", "2",
-        ]) == 0
-        printed = capsys.readouterr().out
-        assert "tail_peak_bytes=" in printed
-        assert "tail_memory_ratio=" in printed
-
-    def test_requires_a_grid(self, tmp_path, capsys):
-        assert main(["bench"]) == 1
-        assert "grid" in capsys.readouterr().err
-
-
 class TestLinearize:
     def test_reports_reference_fit(self, capsys):
         assert main(["linearize", "--linear-range", "2.0"]) == 0
@@ -296,6 +269,16 @@ class TestLinearize:
     def test_out_of_range_cites_bound(self, capsys):
         assert main(["linearize", "--linear-range", "3.0"]) == 1
         assert "2.5997" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "half_range, bound", [("1e-8", "1e-06"), ("2.59969", "crossover near 2.5996819")]
+    )
+    def test_edges_name_the_input(self, capsys, half_range, bound):
+        """Below the smallest fit and in the band past the crossover under 2.5997."""
+        assert main(["linearize", "--linear-range", half_range]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "half_range" in err and bound in err
 
 
 class TestConfigFile:

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emhash.dataio import (
     Dataset,
     full_similarity,
     index_labels,
-    label_similarity,
     load_feature_matrix,
     load_label_file,
     read_codes,
@@ -21,6 +21,18 @@ from emhash.dataio import (
     write_feature_csv,
     write_feature_matrix,
     write_label_file,
+)
+from oracles import label_similarity
+
+
+# Every label that has a file form: unlabeled, a class id, a non-empty tag set.
+labels_strategy = st.lists(
+    st.one_of(
+        st.none(),
+        st.integers(-(2**63), 2**63),
+        st.frozensets(st.integers(-(2**63), 2**63), min_size=1, max_size=5),
+    ),
+    max_size=30,
 )
 
 
@@ -67,6 +79,22 @@ class TestCsvLoading:
         np.testing.assert_array_equal(dataset.features, features)
         assert dataset.labels == labels
 
+    @settings(deadline=None)
+    @given(labels=labels_strategy.filter(bool), width=st.integers(1, 3), data=st.data())
+    def test_label_column_round_trips(self, tmp_path_factory, labels, width, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        features = data.draw(arrays(np.float64, (len(labels), width), elements=finite))
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_feature_csv(path, features, labels)
+        dataset = load_feature_matrix(path, "csv", labeled=True)
+        np.testing.assert_array_equal(dataset.features, features)
+        assert dataset.labels == labels
+
+    def test_empty_tag_set_refused_with_its_position(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match="label 1 is an empty tag set"):
+            write_feature_csv(path, np.zeros((2, 1)), [0, frozenset()])
+
 
 class TestBinaryMatrix:
     def test_round_trip_bitwise(self, tmp_path):
@@ -102,6 +130,18 @@ class TestLabelFiles:
         path = tmp_path / "labels.txt"
         write_label_file(path, labels)
         assert load_label_file(path) == labels
+
+    @settings(deadline=None)
+    @given(labels_strategy)
+    def test_any_label_list_round_trips(self, tmp_path_factory, labels):
+        path = tmp_path_factory.mktemp("labels") / "labels.txt"
+        write_label_file(path, labels)
+        assert load_label_file(path) == labels
+
+    def test_empty_tag_set_refused_with_its_position(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        with pytest.raises(ValueError, match="label 2 is an empty tag set"):
+            write_label_file(path, [None, 3, frozenset(), frozenset({1})])
 
     def test_bad_token_names_file_and_line(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -244,6 +284,21 @@ class TestCodeFiles:
             path = tmp_path / f"codes{d}.bin"
             write_codes(path, codes, "packed")
             np.testing.assert_array_equal(read_codes(path, "packed"), codes)
+
+    @settings(deadline=None)
+    @given(rows=st.integers(0, 12), bits=st.integers(1, 20), data=st.data())
+    def test_packed_round_trips_at_any_length(self, tmp_path_factory, rows, bits, data):
+        codes = data.draw(arrays(np.int8, (rows, bits), elements=st.sampled_from([-1, 1])))
+        path = tmp_path_factory.mktemp("codes") / "codes.bin"
+        write_codes(path, codes, "packed")
+        back = read_codes(path, "packed")
+        assert back.shape == (rows, bits)
+        np.testing.assert_array_equal(back, codes)
+
+    def test_text_codes_of_zero_rows_lose_their_width(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        write_codes(path, np.zeros((0, 7), dtype=np.int8), "text")
+        assert read_codes(path, "text").shape == (0, 0)
 
     def test_bad_token_rejected(self, tmp_path):
         path = tmp_path / "codes.txt"

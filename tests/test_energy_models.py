@@ -31,7 +31,9 @@ from emhash.mean_field import (
     build_scale,
     fit_linearization,
     make_system,
+    renormalize_and_squash,
     solve_affine,
+    solve_homogeneous,
     solve_row_system,
 )
 
@@ -282,6 +284,14 @@ class TestSplh:
         assert np.all(codes[:5] == codes[0]) and np.all(codes[5:] == codes[5])
         assert np.all(codes[0] == -codes[5])
 
+    def test_homogeneous_path_composition(self):
+        s = random_full_similarity(np.random.default_rng(37), 6)
+        sys = splh_system(s, 2.0)
+        expected = renormalize_and_squash(solve_homogeneous(sys, LIN), sys.b, sys.scale, 2.0)
+        phi = em_splh_train(s, TrainConfig(bits=3, anchors=1, sweeps=1, seed=0), LIN)
+        for k in range(3):
+            np.testing.assert_array_equal(phi[:, k], expected)
+
     def test_all_bit_columns_identical(self):
         rng = np.random.default_rng(12)
         s = random_full_similarity(rng, 8)
@@ -523,7 +533,7 @@ def assert_tail_matches_rows(phi, s, half_range, atol):
         assert scales[i] == build_scale(a, row, half_range)
         if not s[view.m + i].any():
             np.testing.assert_array_equal(out[i], 0.5)
-        expected = solve_row_system(make_system(a, row, half_range), lin, homogeneous=False)
+        expected = solve_row_system(make_system(a, row, half_range), lin)
         np.testing.assert_allclose(out[i], expected, rtol=0.0, atol=atol)
 
 

@@ -8,22 +8,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emhash.dataio import label_similarity
 from emhash.energy_models import SimilarityView, TrainConfig, em_ksh_train, splh_energy
 from emhash.evaluation import (
     average_precision,
-    brute_force_min_energy,
-    fixed_point_oracle,
     hamming_distances,
     hamming_rank,
     RELEVANCE_BLOCK,
-    ksh_row_consistency,
     mean_average_precision,
     metrics_lines,
-    splh_row_consistency,
     write_metrics_json,
 )
 from emhash.mean_field import fit_linearization, sigmoid
+from oracles import (
+    brute_force_min_energy,
+    fixed_point_oracle,
+    ksh_row_consistency,
+    label_similarity,
+    splh_row_consistency,
+)
 
 LIN = fit_linearization(2.0)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from emhash.mean_field import (
     MAX_HALF_RANGE,
+    MIN_HALF_RANGE,
     LinearizedSigmoid,
     RowSystem,
     build_scale,
@@ -89,6 +90,15 @@ class TestFitLinearization:
             fit_linearization(2.5997)
         with pytest.raises(ValueError, match="2.5997"):
             fit_linearization(3.0)
+        # The smallest fit works; below it, and from the crossover up, the input is named.
+        assert fit_linearization(MIN_HALF_RANGE).slope < 0.25
+        assert check_condition(fit_linearization(2.5996819))
+        for half_range in (9.9e-7, 1e-8, float("nan")):
+            with pytest.raises(ValueError, match="half_range must be at least 1e-06"):
+                fit_linearization(half_range)
+        for half_range in (2.599682, 2.59969, np.nextafter(MAX_HALF_RANGE, 0.0)):
+            with pytest.raises(ValueError, match="half_range must stay below the solvability"):
+                fit_linearization(half_range)
 
     @given(st.floats(1e-6, 2.5996))
     @example(2.0)
@@ -381,15 +391,6 @@ class TestSolveRowSystem:
         expected = renormalize_and_squash(solve_affine(sys, lin), b, sys.scale, 2.0)
         np.testing.assert_array_equal(solve_row_system(sys, lin), expected)
 
-    def test_homogeneous_path_composition(self):
-        rng = np.random.default_rng(37)
-        lin = fit_linearization(2.0)
-        a = rng.normal(size=(5, 5))
-        a = np.triu(a) + np.triu(a, 1).T
-        sys = make_system(a, np.zeros(5), 2.0)
-        expected = renormalize_and_squash(solve_homogeneous(sys, lin), sys.b, sys.scale, 2.0)
-        np.testing.assert_array_equal(solve_row_system(sys, lin), expected)
-
     def test_supervised_policy_gives_uniform_row_without_evidence(self):
         """b == 0 with a live coupling: no supervision, so no eigen path."""
         rng = np.random.default_rng(41)
@@ -397,7 +398,7 @@ class TestSolveRowSystem:
         a = rng.normal(size=(4, 4))
         a = np.triu(a) + np.triu(a, 1).T
         sys = make_system(a, np.zeros(4), 2.0)
-        out = solve_row_system(sys, lin, homogeneous=False)
+        out = solve_row_system(sys, lin)
         np.testing.assert_array_equal(out, np.full(4, 0.5))
 
     def test_explicit_equation_when_matrix_vanishes(self):
