@@ -186,9 +186,12 @@ def write_feature_csv(path: str | Path, features: np.ndarray, labels: list | Non
     """Write a feature CSV, appending a label field per row when given.
 
     Raises ``ValueError`` naming the position of an empty tag set, as
-    :func:`write_label_file` does.
+    :func:`write_label_file` does, and for a matrix without columns, which
+    :func:`load_feature_matrix` could not read back.
     """
     features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] == 0:
+        raise ValueError(f"feature CSV needs a 2-d matrix with columns, got shape {features.shape}")
     lines = []
     for i, row in enumerate(features):
         fields = [repr(float(v)) for v in row]

@@ -24,7 +24,8 @@ similar pairs are much rarer than dissimilar ones, the oscillation drowns the
 per-class signal.
 Sequential updates let each row react to the rows already moved, which keeps
 class structure intact.  The supervised energies (ksh, lfh) share this
-schedule and differ only in how a row's system is built.
+schedule and that tail; they differ in how an anchor row's system is built
+and in the tail's evidence gain (see :func:`em_lfh_train`).
 """
 
 from __future__ import annotations
@@ -193,21 +194,21 @@ def ksh_anchor_system(
 
 
 def ksh_tail_systems(
-    a: np.ndarray, x_anchors: np.ndarray, s_rows: np.ndarray, half_range: float
+    a: np.ndarray, x_anchors: np.ndarray, s_rows: np.ndarray, half_range: float, gain: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear terms and scales of a block of non-anchor rows.
 
     Non-anchor rows never appear inside the sums, so every one of them shares
     the quadratic coupling ``a`` built once from the anchor codes
-    ``x_anchors = 2 * phi_anchors - 1``; only the linear term and the scale
-    vary per row.  ``s_rows`` holds the rows' similarities to the anchors.
-    Returns ``(b_rows, scales)``, one row / one entry per row of ``s_rows``.
+    ``x_anchors = 2 * phi_anchors - 1``; only the linear term
+    ``gain * (s_rows @ x_anchors)`` and the scale vary per row, one row / one
+    entry of the returned ``(b_rows, scales)`` per row of ``s_rows``.
     """
     if s_rows.ndim != 2 or s_rows.shape[1] != x_anchors.shape[0]:
         raise ValueError(
             f"similarity rows {s_rows.shape} do not match {x_anchors.shape[0]} anchors"
         )
-    b = float(x_anchors.shape[1]) * (s_rows.astype(float) @ x_anchors)
+    b = float(gain) * (s_rows.astype(float) @ x_anchors)
     return b, build_scale(a, b, half_range)
 
 
@@ -259,13 +260,15 @@ def _resolve_linearization(cfg: TrainConfig, lin: LinearizedSigmoid | None) -> L
 
 
 def ksh_tail_pass(
-    phi_anchors: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid
+    phi_anchors: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid,
+    *, gain: float | None = None,
 ) -> np.ndarray:
     """Solve every non-anchor row, one build, stacked solve and squash per row block.
 
     The shared coupling and its eigendecomposition are computed once; each
     block of ``_ROW_BLOCK`` rows gets its linear terms and scales from
-    :func:`ksh_tail_systems`, so temporaries stay bounded by the block.
+    :func:`ksh_tail_systems` at evidence ``gain`` (default: the code length),
+    so temporaries stay bounded by the block.
     Dispatches like :func:`~emhash.mean_field.solve_row_system`: rows without
     evidence stay at 0.5 and a zero shared matrix gives ``sigmoid(b / scale)``.
     """
@@ -274,13 +277,14 @@ def ksh_tail_pass(
     if phi_anchors.shape[0] != m:
         raise ValueError(f"anchor block must have exactly {m} rows, got {phi_anchors.shape[0]}")
     x = 2.0 * phi_anchors - 1.0
+    gain = x.shape[1] if gain is None else gain
     a = _ksh_coupling(x)
     explicit = np.max(np.abs(a)) < ZERO_TOL
     eig = None if explicit else eigendecompose_shared(a)
     out = np.full((sim.n - m, x.shape[1]), 0.5)
     for start in range(0, out.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        b, scales = ksh_tail_systems(a, x, sim.s[m:][rows], lin.half_range)
+        b, scales = ksh_tail_systems(a, x, sim.s[m:][rows], lin.half_range, gain)
         live = np.max(np.abs(b), axis=1) >= ZERO_TOL
         b, scales = b[live], scales[live]
         if explicit:
@@ -296,30 +300,30 @@ def _train(
     cfg: TrainConfig,
     lin: LinearizedSigmoid | None,
     anchor_system,
-    tail_pass,
+    tail_gain: float,
 ) -> np.ndarray:
     """The schedule shared by the supervised energies.
 
-    Initializes all marginals uniformly at random from ``cfg.seed``, runs
-    ``cfg.sweeps`` sequential sweeps over the anchor rows (each row's
+    Initializes the anchor marginals uniformly at random from ``cfg.seed``,
+    runs ``cfg.sweeps`` sequential sweeps over the anchor rows (each row's
     system, ``anchor_system(phi_anchors, sim, row, half_range)``, built from
     the current marginals and its solution applied immediately), then
-    finishes the remaining rows with ``tail_pass(phi, sim, lin)``.  A row
-    without evidence (b ~ 0) gets the uninformative 0.5 marginals: the
+    finishes the remaining rows with :func:`ksh_tail_pass` at ``tail_gain``.
+    A row without evidence (b ~ 0) gets the uninformative 0.5 marginals: the
     quadratic coupling alone carries no supervision.
     """
     lin = _resolve_linearization(cfg, lin)
     if cfg.anchors != sim.m:
         raise ValueError(f"config declares {cfg.anchors} anchors but view has {sim.m}")
-    rng = np.random.default_rng(cfg.seed)
-    phi = rng.random((sim.n, cfg.bits))
     m = sim.m
+    phi = np.empty((sim.n, cfg.bits))
+    phi[:m] = np.random.default_rng(cfg.seed).random((m, cfg.bits))
     for _ in range(cfg.sweeps):
         for i in range(m):
             sys = anchor_system(phi[:m], sim, i, lin.half_range)
             phi[i] = solve_row_system(sys, lin)
     if sim.n > m:
-        phi[m:] = tail_pass(phi, sim, lin)
+        phi[m:] = ksh_tail_pass(phi[:m], sim, lin, gain=tail_gain)
     return phi
 
 
@@ -333,10 +337,7 @@ def em_ksh_train(
     Deterministic given the seed.  An all-zero similarity view degenerates
     to uniform 0.5 marginals rather than failing.
     """
-    return _train(
-        sim, cfg, lin, ksh_anchor_system,
-        lambda phi, sim, lin: ksh_tail_pass(phi[: sim.m], sim, lin),
-    )
+    return _train(sim, cfg, lin, ksh_anchor_system, float(cfg.bits))
 
 
 def splh_system(sim_full: np.ndarray, half_range: float = 2.0) -> RowSystem:
@@ -447,27 +448,18 @@ def lfh_system(
     return _lfh_build(others, s_row, x[anchor], half_range, xi_override)
 
 
-def _lfh_tail_pass(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> np.ndarray:
-    # Pair weights depend on both endpoints, so tail rows share no matrix:
-    # each builds and solves its own small system against the anchor block.
-    m = sim.m
-    x = 2.0 * phi - 1.0
-    tail_s = sim.s[m:, :].astype(float)
-    return np.array([
-        solve_row_system(_lfh_build(x[:m], tail_s[i], x[m + i], lin.half_range, None), lin)
-        for i in range(sim.n - m)
-    ])
-
-
 def em_lfh_train(
     sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid | None = None
 ) -> np.ndarray:
     """Learn soft codes for the logistic energy.
 
-    Same schedule as :func:`em_ksh_train` over :func:`lfh_system`, but the
-    tail rows are solved one system each.
+    Same schedule as :func:`em_ksh_train` over :func:`lfh_system`.  Tail
+    rows are pivoted at their uninformative marginals, ``xi = 0``, where every
+    pair weight is ``variational_weight(0) = -1/8``: a row's system is then
+    (ksh coupling / 2, ``s_row @ x_anchors``), and doubling it, which keeps
+    its solution, gives the ksh tail at evidence gain 2.
     """
-    return _train(sim, cfg, lin, lfh_system, _lfh_tail_pass)
+    return _train(sim, cfg, lin, lfh_system, 2.0)
 
 
 def _validate_codes_and_similarity(codes: np.ndarray, sim_full: np.ndarray):

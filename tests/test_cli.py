@@ -324,8 +324,9 @@ class TestMethods:
 
 
 class TestBlasThreads:
-    def test_outputs_identical_across_openblas_thread_counts(self, tmp_path):
-        """em-ksh train with a tail of several row blocks, one child per thread count."""
+    """Train with a tail of 900 rows, four row blocks, one child per thread count."""
+
+    def outputs_per_thread_count(self, tmp_path, method):
         data = synth(tmp_path, clusters=4, per_cluster=250, dim=16)
         source = str(Path(emhash.__file__).resolve().parents[1])
         outputs = {}
@@ -335,13 +336,21 @@ class TestBlasThreads:
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
             subprocess.run(
                 [sys.executable, "-m", "emhash.cli", "train", "--features", str(data),
-                 "--bits", "32", "--anchors", "100", "--sweeps", "1", "--seed", "7",
-                 "--codes-format", "packed", "--out-dir", str(out_dir)],
+                 "--method", method, "--bits", "32", "--anchors", "100", "--sweeps", "1",
+                 "--seed", "7", "--codes-format", "packed", "--out-dir", str(out_dir)],
                 env=env, check=True, capture_output=True,
             )
             outputs[threads] = [
                 (out_dir / name).read_bytes() for name in ("codes.bin", "model.emh", "thresholds.txt")
             ]
+        return outputs
+
+    def test_outputs_identical_across_openblas_thread_counts(self, tmp_path):
+        outputs = self.outputs_per_thread_count(tmp_path, "em-ksh")
+        assert outputs[1] == outputs[2] == outputs[4]
+
+    def test_em_lfh_outputs_identical_across_openblas_thread_counts(self, tmp_path):
+        outputs = self.outputs_per_thread_count(tmp_path, "em-lfh")
         assert outputs[1] == outputs[2] == outputs[4]
 
 

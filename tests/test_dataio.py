@@ -95,6 +95,19 @@ class TestCsvLoading:
         with pytest.raises(ValueError, match="label 1 is an empty tag set"):
             write_feature_csv(path, np.zeros((2, 1)), [0, frozenset()])
 
+    @pytest.mark.parametrize("labels", [None, [None, None, None], [0, 1, 2]])
+    def test_zero_columns_refused_with_the_shape(self, tmp_path, labels):
+        """Rows without fields would read back as blank lines or lone labels."""
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=r"with columns, got shape \(3, 0\)") as err:
+            write_feature_csv(path, np.zeros((3, 0)), labels)
+        assert "\n" not in str(err.value)
+        assert not path.exists()
+
+    def test_one_dimensional_features_refused_with_the_shape(self, tmp_path):
+        with pytest.raises(ValueError, match=r"got shape \(4,\)"):
+            write_feature_csv(tmp_path / "m.csv", np.zeros(4))
+
 
 class TestBinaryMatrix:
     def test_round_trip_bitwise(self, tmp_path):

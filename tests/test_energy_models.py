@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from emhash import energy_models
 from emhash.energy_models import (
     _ROW_BLOCK,
     _ksh_coupling,
+    _lfh_build,
     SimilarityView,
     TrainConfig,
     batch_solve_shared,
@@ -136,7 +138,7 @@ class TestKshTailSystems:
         s = rng.choice([-1, 1], size=(n, m))
         x = 2.0 * phi1 - 1.0
         a = _ksh_coupling(x)
-        b, scales = ksh_tail_systems(a, x, s[m:], 2.0)
+        b, scales = ksh_tail_systems(a, x, s[m:], 2.0, d)
         assert b.shape == (n - m, d) and scales.shape == (n - m,)
         # per-row direct builds reproduce the shared matrix and vectors
         for row in rng.choice(n - m, size=min(10, n - m), replace=False):
@@ -158,7 +160,16 @@ class TestKshTailSystems:
     def test_rejects_rows_of_the_wrong_width(self):
         x = np.ones((3, 2))
         with pytest.raises(ValueError, match="3 anchors"):
-            ksh_tail_systems(_ksh_coupling(x), x, np.ones((4, 2), dtype=np.int8), 2.0)
+            ksh_tail_systems(_ksh_coupling(x), x, np.ones((4, 2), dtype=np.int8), 2.0, 2)
+
+    def test_gain_scales_the_evidence_only(self):
+        rng = np.random.default_rng(38)
+        x = 2.0 * rng.random((5, 3)) - 1.0
+        s = rng.choice([-1, 0, 1], size=(7, 5))
+        a = _ksh_coupling(x)
+        b, scales = ksh_tail_systems(a, x, s, 2.0, 3.0)
+        np.testing.assert_array_equal(b, 3.0 * (s @ x))
+        np.testing.assert_array_equal(scales, build_scale(a, b, 2.0))
 
 
 class TestBatchSolveShared:
@@ -394,6 +405,33 @@ class TestLfh:
         result = mean_average_precision(codes, labels, codes, labels, exclude_self=True)
         assert result.mean_ap > 0.95
 
+    def test_tail_rows_take_the_shared_tail(self):
+        """Past the anchors, em-lfh is the shared tail at gain 2 on its anchor rows."""
+        rng = np.random.default_rng(39)
+        labels = rng.integers(0, 4, size=80)
+        s = np.where(labels[:, None] == labels[None, :20], 1, -1).astype(np.int8)
+        view = SimilarityView(s=s)
+        phi = em_lfh_train(view, TrainConfig(bits=6, anchors=20, sweeps=2, seed=1), LIN)
+        np.testing.assert_array_equal(phi[20:], ksh_tail_pass(phi[:20], view, LIN, gain=2.0))
+
+    @pytest.mark.parametrize("tail", [0, 10, 3 * _ROW_BLOCK])
+    def test_solves_anchor_rows_only_one_system_each(self, monkeypatch, tail):
+        """Only the anchor sweeps go through the single-row dispatcher."""
+        calls = []
+
+        def counting(sys, lin):
+            calls.append(sys.dim)
+            return solve_row_system(sys, lin)
+
+        monkeypatch.setattr(energy_models, "solve_row_system", counting)
+        rng = np.random.default_rng(40)
+        m = 12
+        labels = rng.integers(0, 3, size=m + tail)
+        s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
+        cfg = TrainConfig(bits=5, anchors=m, sweeps=3, seed=2)
+        em_lfh_train(SimilarityView(s=s), cfg, LIN)
+        assert len(calls) == cfg.sweeps * m
+
 
 class TestEnergies:
     def test_perfect_fit_is_zero(self):
@@ -491,6 +529,14 @@ class TestTailPass:
         np.testing.assert_array_equal(out[1], np.full(d, 0.5))
         assert not np.all(out[0] == 0.5)
 
+    def test_default_gain_is_the_code_length(self):
+        rng = np.random.default_rng(41)
+        phi1 = rng.random((5, 7))
+        view = SimilarityView(s=rng.choice([-1, 0, 1], size=(30, 5)))
+        np.testing.assert_array_equal(
+            ksh_tail_pass(phi1, view, LIN), ksh_tail_pass(phi1, view, LIN, gain=7.0)
+        )
+
 
 @functools.lru_cache(maxsize=None)
 def linearization(half_range):
@@ -526,7 +572,7 @@ def assert_tail_matches_rows(phi, s, half_range, atol):
     lin = linearization(half_range)
     x = 2.0 * phi - 1.0
     a = _ksh_coupling(x)
-    b, scales = ksh_tail_systems(a, x, s[view.m :], half_range)
+    b, scales = ksh_tail_systems(a, x, s[view.m :], half_range, phi.shape[1])
     out = ksh_tail_pass(phi, view, lin)
     assert out.shape == b.shape
     for i, row in enumerate(b):
@@ -563,3 +609,46 @@ class TestTailMatchesRowSolve:
         s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
         s[m:][rng.random(n - m) < 0.05] = 0  # unlabeled tail points
         assert_tail_matches_rows(rng.random((m, bits)), s, 2.0, atol=1e-12)
+
+
+def assert_lfh_tail_matches_rows(phi, s, half_range, atol):
+    """The em-lfh tail against the per-row dispatcher on each row's lfh system
+    pivoted at its uninformative marginals (x_self = 0, so xi = 0)."""
+    view = SimilarityView(s=s)
+    lin = linearization(half_range)
+    x = 2.0 * phi - 1.0
+    x_self = np.zeros(phi.shape[1])
+    out = ksh_tail_pass(phi, view, lin, gain=2.0)
+    assert out.shape == (view.n - view.m, phi.shape[1])
+    for i, s_row in enumerate(s[view.m :]):
+        sys = _lfh_build(x, s_row.astype(float), x_self, half_range, xi_override=0.0)
+        expected = solve_row_system(sys, lin)
+        np.testing.assert_allclose(out[i], expected, rtol=0.0, atol=atol)
+
+
+class TestLfhTailMatchesRowSolve:
+    """The em-lfh tail (shared eigenbasis, gain 2) against one lfh system per row.
+
+    Tolerances were fixed before measuring, as in
+    :class:`TestTailMatchesRowSolve`: the doubled system has the same
+    solution, so only the eigenbasis-versus-Cholesky gap remains.
+    """
+
+    @settings(deadline=None)
+    @given(tail_instances())
+    @example(tail_instance(1, 4, 1, 6, 2.0))  # 1x1 zero coupling: explicit sigmoid
+    @example(tail_instance(2, 5, 2, 8, 2.0))
+    @example(tail_instance(3, 4, 5, 8, 2.0, phi_value=0.5))  # zero coupling, no evidence
+    @example(tail_instance(4, 3, 4, _ROW_BLOCK + 10, 2.0, silent_rows=_ROW_BLOCK))  # empty stack
+    @example(tail_instance(5, 6, 6, 10, 2.5996))
+    @example(tail_instance(6, 6, 6, 10, 0.05))
+    def test_small_instances(self, instance):
+        assert_lfh_tail_matches_rows(*instance, atol=1e-10)
+
+    def test_several_row_blocks_of_class_labels(self):
+        rng = np.random.default_rng(42)
+        n, m, bits = 3000, 200, 32
+        labels = rng.integers(0, 16, size=n)
+        s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
+        s[m:][rng.random(n - m) < 0.05] = 0  # unlabeled tail points
+        assert_lfh_tail_matches_rows(rng.random((m, bits)), s, 2.0, atol=1e-12)
