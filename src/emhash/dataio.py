@@ -58,6 +58,10 @@ CODES_MAGIC = b"EMHBIN01"
 # Dense similarity blocks are materialized up to this many entries.
 MAX_DENSE_ENTRIES = 10**8
 
+# Text codes are formatted this many rows at a time.
+_TEXT_ROW_BLOCK = 256
+_CODE_TOKENS = frozenset(("-1", "1"))
+
 Label = None | int | frozenset
 
 
@@ -315,8 +319,11 @@ def write_codes(path: str | Path, codes: np.ndarray, fmt: str = "text") -> None:
     if codes.size and not np.isin(codes, (-1, 1)).all():
         raise ValueError("codes must contain only +1 and -1")
     if fmt == "text":
-        lines = [" ".join(str(int(v)) for v in row) for row in codes]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        # Token strings exist for one block of rows at a time, so memory stays flat.
+        with open(path, "w") as fh:
+            for start in range(0, codes.shape[0], _TEXT_ROW_BLOCK):
+                rows = np.where(codes[start : start + _TEXT_ROW_BLOCK] > 0, "1", "-1").tolist()
+                fh.write("".join(" ".join(row) + "\n" for row in rows))
         return
     if fmt != "packed":
         raise ValueError(f"unknown codes format {fmt!r}")
@@ -333,25 +340,27 @@ def read_codes(path: str | Path, fmt: str = "text") -> np.ndarray:
     """Read sign codes written by :func:`write_codes`."""
     path = Path(path)
     if fmt == "text":
-        rows = []
-        width = None
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
+        text = path.read_text()
+        rows, width = 0, None
+        for lineno, line in enumerate(text.splitlines(), start=1):
             tokens = line.split()
+            if not tokens:
+                continue
             if width is None:
                 width = len(tokens)
             elif len(tokens) != width:
                 raise ValueError(f"{path}:{lineno}: ragged code row")
-            row = []
-            for tok in tokens:
-                if tok not in ("-1", "1"):
-                    raise ValueError(f"{path}:{lineno}: code token {tok!r} outside {{-1, 1}}")
-                row.append(int(tok))
-            rows.append(row)
+            if not _CODE_TOKENS.issuperset(tokens):
+                bad = next(tok for tok in tokens if tok not in _CODE_TOKENS)
+                raise ValueError(f"{path}:{lineno}: code token {bad!r} outside {{-1, 1}}")
+            rows += 1
         if not rows:
             return np.zeros((0, 0), dtype=np.int8)
-        return np.array(rows, dtype=np.int8)
+        # Every token is now "1" or "-1": each ends in the byte "1", and is
+        # negative iff the byte before that is "-".
+        raw = np.frombuffer(text.encode(), dtype=np.uint8)
+        negative = np.roll(raw == ord("-"), 1)[raw == ord("1")]
+        return np.where(negative, np.int8(-1), np.int8(1)).reshape(rows, width)
     if fmt != "packed":
         raise ValueError(f"unknown codes format {fmt!r}")
     raw = path.read_bytes()

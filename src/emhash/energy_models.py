@@ -24,8 +24,12 @@ similar pairs are much rarer than dissimilar ones, the oscillation drowns the
 per-class signal.
 Sequential updates let each row react to the rows already moved, which keeps
 class structure intact.  The supervised energies (ksh, lfh) share this
-schedule and that tail; they differ in how an anchor row's system is built
-and in the tail's evidence gain (see :func:`em_lfh_train`).
+schedule and that tail; they differ in how an anchor sweep builds each row's
+system and in the tail's evidence gain (see :func:`em_lfh_train`).  A ksh
+sweep never rebuilds a row's coupling from the other anchors: it forms the
+Gram of the anchor codes once per sweep and, after each row, applies that
+row's change as a rank-2 update, so a row costs O(bits^2) on top of its
+evidence and its solve.
 """
 
 from __future__ import annotations
@@ -170,7 +174,8 @@ def _ksh_coupling(x: np.ndarray) -> np.ndarray:
 def ksh_anchor_system(
     phi: np.ndarray, sim: SimilarityView, anchor: int, half_range: float
 ) -> RowSystem:
-    """Consistency system of one anchor row under the squared-fit energy.
+    """Consistency system of one anchor row under the squared-fit energy,
+    built from scratch: the single-row reference of the downdated sweep.
 
     The quadratic coupling sums ``-(2*phi_jk - 1)(2*phi_jk' - 1)`` over the
     other anchors for every off-diagonal bit pair (the diagonal is zero);
@@ -299,18 +304,18 @@ def _train(
     sim: SimilarityView,
     cfg: TrainConfig,
     lin: LinearizedSigmoid | None,
-    anchor_system,
+    sweep,
     tail_gain: float,
 ) -> np.ndarray:
     """The schedule shared by the supervised energies.
 
     Initializes the anchor marginals uniformly at random from ``cfg.seed``,
-    runs ``cfg.sweeps`` sequential sweeps over the anchor rows (each row's
-    system, ``anchor_system(phi_anchors, sim, row, half_range)``, built from
-    the current marginals and its solution applied immediately), then
-    finishes the remaining rows with :func:`ksh_tail_pass` at ``tail_gain``.
-    A row without evidence (b ~ 0) gets the uninformative 0.5 marginals: the
-    quadratic coupling alone carries no supervision.
+    runs ``cfg.sweeps`` sequential sweeps over the anchor rows, each one
+    ``sweep(phi_anchors, sim, lin)``, which re-solves every anchor row in
+    index order against the current state of the others and writes it back
+    in place, then finishes the remaining rows with :func:`ksh_tail_pass` at
+    ``tail_gain``.  A row without evidence (b ~ 0) gets the uninformative 0.5
+    marginals: the quadratic coupling alone carries no supervision.
     """
     lin = _resolve_linearization(cfg, lin)
     if cfg.anchors != sim.m:
@@ -319,12 +324,45 @@ def _train(
     phi = np.empty((sim.n, cfg.bits))
     phi[:m] = np.random.default_rng(cfg.seed).random((m, cfg.bits))
     for _ in range(cfg.sweeps):
-        for i in range(m):
-            sys = anchor_system(phi[:m], sim, i, lin.half_range)
-            phi[i] = solve_row_system(sys, lin)
+        sweep(phi[:m], sim, lin)
     if sim.n > m:
         phi[m:] = ksh_tail_pass(phi[:m], sim, lin, gain=tail_gain)
     return phi
+
+
+def _ksh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> None:
+    """One sequential squared-fit sweep over the anchor rows ``phi``, in place.
+
+    Keeps the Gram ``G = X.T X`` of the anchor codes ``X = 2 * phi - 1``,
+    formed once per sweep (which bounds rounding drift).  Row i's system is
+    then :func:`ksh_anchor_system` without the rebuild: the coupling is
+    ``outer(x_i, x_i) - G`` with a zero diagonal, exactly symmetric because
+    each term is, and the linear term is ``bits * (s_i @ X - s_ii * x_i)``.
+    Once the row is solved, the rank-2 update ``G += outer(x_i', x_i') -
+    outer(x_i, x_i)`` brings the Gram up to date for the next row.
+    """
+    m, bits = phi.shape
+    x = 2.0 * phi - 1.0
+    g = _mirror_upper(x.T @ x)
+    for i in range(m):
+        own = np.outer(x[i], x[i])
+        a = own - g
+        np.fill_diagonal(a, 0.0)
+        s_row = sim.s[i, :m].astype(float)
+        b = float(bits) * (s_row @ x - s_row[i] * x[i])
+        phi[i] = solve_row_system(make_system(a, b, lin.half_range), lin)
+        x[i] = 2.0 * phi[i] - 1.0
+        g += np.outer(x[i], x[i]) - own
+
+
+def _lfh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> None:
+    """One sequential logistic sweep over the anchor rows ``phi``, in place.
+
+    Each row's pair weights depend on its own codes, so there is no Gram to
+    share between rows: every row builds its :func:`lfh_system` afresh.
+    """
+    for i in range(sim.m):
+        phi[i] = solve_row_system(lfh_system(phi, sim, i, lin.half_range), lin)
 
 
 def em_ksh_train(
@@ -332,12 +370,14 @@ def em_ksh_train(
 ) -> np.ndarray:
     """Learn soft codes for the squared-fit energy.
 
-    Sequential anchor sweeps over :func:`ksh_anchor_system`, then one
-    shared-matrix pass over the remaining rows (:func:`ksh_tail_pass`).
+    Sequential anchor sweeps, each over one Gram of the anchor codes kept up
+    to date by a rank-2 update per row (the rows' systems are those of
+    :func:`ksh_anchor_system`), then one shared-matrix pass over the
+    remaining rows (:func:`ksh_tail_pass`).
     Deterministic given the seed.  An all-zero similarity view degenerates
     to uniform 0.5 marginals rather than failing.
     """
-    return _train(sim, cfg, lin, ksh_anchor_system, float(cfg.bits))
+    return _train(sim, cfg, lin, _ksh_sweep, float(cfg.bits))
 
 
 def splh_system(sim_full: np.ndarray, half_range: float = 2.0) -> RowSystem:
@@ -459,7 +499,7 @@ def em_lfh_train(
     (ksh coupling / 2, ``s_row @ x_anchors``), and doubling it, which keeps
     its solution, gives the ksh tail at evidence gain 2.
     """
-    return _train(sim, cfg, lin, lfh_system, 2.0)
+    return _train(sim, cfg, lin, _lfh_sweep, 2.0)
 
 
 def _validate_codes_and_similarity(codes: np.ndarray, sim_full: np.ndarray):

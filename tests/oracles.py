@@ -1,10 +1,13 @@
 """Slow, literal references that the tests check the program against.
 
 None of this is a production path.  ``label_similarity`` is the scalar
-definition that ``dataio.similarity_block`` reproduces in bulk; the rest
-cross-checks the closed-form training path: a damped iteration of the exact
-consistency equations, and exhaustive minimization of an energy over all
-code matrices of a tiny instance.
+definition that ``dataio.similarity_block`` reproduces in bulk, and
+``text_codes_per_token`` the token-by-token text the code writer reproduces
+in bulk.  ``ksh_train_rebuilding_rows`` is em-ksh training with every anchor
+row's system built from scratch, which the downdated sweep must reproduce.
+The rest cross-checks the closed-form training path: a damped iteration of
+the exact consistency equations, and exhaustive minimization of an energy
+over all code matrices of a tiny instance.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from emhash.dataio import Label
-from emhash.energy_models import TrainConfig
-from emhash.mean_field import sigmoid
+from emhash.energy_models import SimilarityView, TrainConfig, ksh_anchor_system, ksh_tail_pass
+from emhash.mean_field import LinearizedSigmoid, sigmoid, solve_row_system
 
 # Size guard for the damped-iteration oracle; it is a reference tool, not a
 # production path, and its dense quadratic cost is only acceptable on small
@@ -37,6 +40,32 @@ def label_similarity(a: Label, b: Label) -> int:
         bset = b if isinstance(b, frozenset) else frozenset((b,))
         return 1 if aset & bset else -1
     return 1 if a == b else -1
+
+
+def text_codes_per_token(codes: np.ndarray) -> str:
+    """The text code layout, one ``str(int(v))`` per entry, rows joined by newlines."""
+    lines = [" ".join(str(int(v)) for v in row) for row in codes]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def ksh_train_rebuilding_rows(
+    sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid
+) -> np.ndarray:
+    """em-ksh training with each anchor row's system rebuilt from the others.
+
+    The same schedule as ``em_ksh_train``: seeded uniform anchor marginals,
+    ``cfg.sweeps`` sequential sweeps in index order, then the shared tail;
+    but every anchor row calls ``ksh_anchor_system`` on the current marginals.
+    """
+    m = sim.m
+    phi = np.empty((sim.n, cfg.bits))
+    phi[:m] = np.random.default_rng(cfg.seed).random((m, cfg.bits))
+    for _ in range(cfg.sweeps):
+        for i in range(m):
+            phi[i] = solve_row_system(ksh_anchor_system(phi[:m], sim, i, lin.half_range), lin)
+    if sim.n > m:
+        phi[m:] = ksh_tail_pass(phi[:m], sim, lin)
+    return phi
 
 
 def ksh_row_consistency(phi: np.ndarray, sim_full: np.ndarray, row: int) -> np.ndarray:

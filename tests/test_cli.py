@@ -326,7 +326,7 @@ class TestMethods:
 class TestBlasThreads:
     """Train with a tail of 900 rows, four row blocks, one child per thread count."""
 
-    def outputs_per_thread_count(self, tmp_path, method):
+    def outputs_per_thread_count(self, tmp_path, method, sweeps=1):
         data = synth(tmp_path, clusters=4, per_cluster=250, dim=16)
         source = str(Path(emhash.__file__).resolve().parents[1])
         outputs = {}
@@ -336,7 +336,7 @@ class TestBlasThreads:
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
             subprocess.run(
                 [sys.executable, "-m", "emhash.cli", "train", "--features", str(data),
-                 "--method", method, "--bits", "32", "--anchors", "100", "--sweeps", "1",
+                 "--method", method, "--bits", "32", "--anchors", "100", "--sweeps", str(sweeps),
                  "--seed", "7", "--codes-format", "packed", "--out-dir", str(out_dir)],
                 env=env, check=True, capture_output=True,
             )
@@ -347,6 +347,11 @@ class TestBlasThreads:
 
     def test_outputs_identical_across_openblas_thread_counts(self, tmp_path):
         outputs = self.outputs_per_thread_count(tmp_path, "em-ksh")
+        assert outputs[1] == outputs[2] == outputs[4]
+
+    def test_gram_carried_across_sweeps_identical_across_openblas_thread_counts(self, tmp_path):
+        """Two em-ksh sweeps: the second starts from a Gram re-formed from the first."""
+        outputs = self.outputs_per_thread_count(tmp_path, "em-ksh", sweeps=2)
         assert outputs[1] == outputs[2] == outputs[4]
 
     def test_em_lfh_outputs_identical_across_openblas_thread_counts(self, tmp_path):

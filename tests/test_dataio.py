@@ -22,7 +22,7 @@ from emhash.dataio import (
     write_feature_matrix,
     write_label_file,
 )
-from oracles import label_similarity
+from oracles import label_similarity, text_codes_per_token
 
 
 # Every label that has a file form: unlabeled, a class id, a non-empty tag set.
@@ -307,6 +307,28 @@ class TestCodeFiles:
         back = read_codes(path, "packed")
         assert back.shape == (rows, bits)
         np.testing.assert_array_equal(back, codes)
+
+    @settings(deadline=None)
+    @given(rows=st.integers(1, 12), bits=st.integers(1, 20), data=st.data())
+    def test_text_round_trips_and_matches_per_token_layout(
+        self, tmp_path_factory, rows, bits, data
+    ):
+        codes = data.draw(arrays(np.int8, (rows, bits), elements=st.sampled_from([-1, 1])))
+        path = tmp_path_factory.mktemp("codes") / "codes.txt"
+        write_codes(path, codes, "text")
+        assert path.read_bytes() == text_codes_per_token(codes).encode()
+        back = read_codes(path, "text")
+        assert back.dtype == np.int8
+        np.testing.assert_array_equal(back, codes)
+
+    def test_text_errors_name_the_first_bad_line(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        path.write_text("1 -1\n\n1 0\n1\n")
+        with pytest.raises(ValueError, match=r"codes.txt:3: code token '0' outside"):
+            read_codes(path, "text")
+        path.write_text("1 -1\n\n1\n1 0\n")
+        with pytest.raises(ValueError, match=r"codes.txt:3: ragged code row"):
+            read_codes(path, "text")
 
     def test_text_codes_of_zero_rows_lose_their_width(self, tmp_path):
         path = tmp_path / "codes.txt"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emhash import energy_models
+from emhash.codec import round_codes
 from emhash.energy_models import (
     _ROW_BLOCK,
     _ksh_coupling,
@@ -38,6 +39,7 @@ from emhash.mean_field import (
     solve_homogeneous,
     solve_row_system,
 )
+from oracles import ksh_train_rebuilding_rows
 
 LIN = fit_linearization(2.0)
 
@@ -269,6 +271,128 @@ class TestEmKshTrain:
         view = SimilarityView(s=np.ones((6, 3), dtype=np.int8))
         with pytest.raises(ValueError, match="anchors"):
             em_ksh_train(view, TrainConfig(bits=2, anchors=4, sweeps=1, seed=0), LIN)
+
+    @pytest.mark.parametrize("tail", [0, 10])
+    def test_anchor_rows_reuse_one_gram_per_sweep(self, monkeypatch, tail):
+        """No anchor row rebuilds its coupling from the other anchors."""
+        calls = {"anchor_system": 0, "coupling": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(energy_models, "ksh_anchor_system",
+                            counted("anchor_system", ksh_anchor_system))
+        monkeypatch.setattr(energy_models, "_ksh_coupling", counted("coupling", _ksh_coupling))
+        monkeypatch.setattr(energy_models, "solve_row_system",
+                            counted("solve", solve_row_system))
+        rng = np.random.default_rng(44)
+        m = 12
+        labels = rng.integers(0, 3, size=m + tail)
+        s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
+        cfg = TrainConfig(bits=5, anchors=m, sweeps=3, seed=2)
+        em_ksh_train(SimilarityView(s=s), cfg, LIN)
+        assert calls["anchor_system"] == 0
+        assert calls["coupling"] <= 1  # the tail's shared coupling, if there is a tail
+        assert calls["solve"] == cfg.sweeps * m
+
+
+def ksh_sweep_instance(seed, m, bits, half_range, silent_rows=0):
+    """Anchor marginals and an m x m view whose first ``silent_rows`` rows observe nothing."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(-1, 2, size=(m, m)).astype(np.int8)
+    s[:silent_rows] = 0
+    return rng.random((m, bits)), s, half_range
+
+
+@st.composite
+def ksh_sweep_instances(draw):
+    m, bits = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    phi = draw(arrays(np.float64, (m, bits), elements=st.floats(0.0, 1.0)))
+    s = draw(arrays(np.int8, (m, m), elements=st.sampled_from([-1, 0, 1])))
+    half_range = draw(st.one_of(st.sampled_from([0.05, 2.0, 2.5996]), st.floats(0.05, 2.5996)))
+    return phi, s, half_range
+
+
+def ksh_sweep_gaps(phi, s, half_range, sweeps=2):
+    """Walk the downdated em-ksh sweeps from ``phi``, comparing each row's system
+    with a fresh :func:`ksh_anchor_system` build on the current marginals.
+
+    Returns one relative gap per row solved: the largest entry gap of the
+    coupling, the evidence and the scale, each over the size of the terms it
+    sums (see :class:`TestKshSweepMatchesRowBuild`).
+    """
+    view = SimilarityView(s=s)
+    lin = linearization(half_range)
+    phi = phi.copy()
+    bits = phi.shape[1]
+    gaps = []
+    gram_size = [0.0]
+
+    def checking(sys, lin):
+        i = len(gaps) % view.m
+        ref = ksh_anchor_system(phi, view, i, half_range)
+        x = np.abs(2.0 * phi - 1.0)
+        # The Gram's rounding stays relative to the largest Gram of this sweep.
+        gram_size[0] = max(gram_size[0] if i else 0.0, np.max(np.sum(x * x, axis=0)))
+        size_a = gram_size[0]
+        size_b = bits * np.max(np.abs(s[i]) @ x)
+        size_scale = (bits * size_a + size_b) / half_range
+        row = []
+        for got, want, size in ((sys.a, ref.a, size_a), (sys.b, ref.b, size_b),
+                                (sys.scale, ref.scale, size_scale)):
+            gap = float(np.max(np.abs(np.subtract(got, want))))
+            row.append(gap / size if size else (0.0 if gap == 0.0 else np.inf))
+        gaps.append(max(row))
+        return solve_row_system(sys, lin)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(energy_models, "solve_row_system", checking)
+        for _ in range(sweeps):
+            energy_models._ksh_sweep(phi, view, lin)
+    assert len(gaps) == sweeps * view.m
+    return gaps
+
+
+class TestKshSweepMatchesRowBuild:
+    """The downdated em-ksh sweep against a from-scratch build of every row.
+
+    Tolerances were fixed before measuring.  Each row system may differ from
+    :func:`ksh_anchor_system` by 1e-12 of the size of the terms each entry
+    sums: for the coupling, the largest ``max_k sum_j x_jk**2`` over all
+    anchors that the sweep's Gram has held so far (its updates round relative
+    to that, even after rows settle at 0.5); ``bits * max_k sum_j |s_ij|
+    |x_jk|`` for the evidence; and ``(bits * coupling size + evidence size) /
+    half_range`` for the scale.  Training must match the per-row rebuild to
+    1e-12 on phi.
+    """
+
+    @settings(deadline=None)
+    @given(ksh_sweep_instances())
+    @example(ksh_sweep_instance(1, 6, 1, 2.0))  # 1x1 zero coupling: explicit sigmoid
+    @example(ksh_sweep_instance(2, 1, 5, 2.0))  # one anchor: nothing to couple to
+    @example(ksh_sweep_instance(3, 7, 4, 2.0, silent_rows=3))  # rows without evidence: 0.5
+    @example(ksh_sweep_instance(4, 8, 6, 2.5996))
+    @example(ksh_sweep_instance(5, 8, 6, 0.05))
+    def test_every_row_system_matches_a_fresh_build(self, instance):
+        assert max(ksh_sweep_gaps(*instance)) <= 1e-12
+
+    def test_anchor_sweep_shape_matches_per_row_rebuilds(self):
+        rng = np.random.default_rng(43)
+        n, m, bits = 3000, 800, 64
+        labels = rng.integers(0, 12, size=n)
+        s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
+        view = SimilarityView(s=s)
+        cfg = TrainConfig(bits=bits, anchors=m, sweeps=2, seed=1)
+        phi = em_ksh_train(view, cfg, LIN)
+        expected = ksh_train_rebuilding_rows(view, cfg, LIN)
+        assert np.max(np.abs(phi - expected)) <= 1e-12
+        flips = round_codes(phi)[0] != round_codes(expected)[0]
+        # A code may flip only where the reference sits at its bit's threshold.
+        ties = np.abs(expected - expected.mean(axis=0)) <= 1e-12
+        assert not np.any(flips & ~ties)
 
 
 class TestSplh:
