@@ -72,7 +72,7 @@ __all__ = [
     "splh_energy",
 ]
 
-# Dense eigensolve over the full similarity matrix; beyond this the
+# Points of the dense n-by-n similarity matrix em-splh holds; beyond this the
 # one-shot path is out of its depth and the caller should sample anchors.
 MAX_DENSE_POINTS = 5000
 
@@ -385,16 +385,23 @@ def splh_system(sim_full: np.ndarray, half_range: float = 2.0) -> RowSystem:
 
     The full square similarity matrix itself is the system matrix and the
     linear term is exactly zero; no bit depends on another, so all bit
-    columns pose this one problem.
+    columns pose this one problem.  The checks run on the input as given
+    (int8 from :func:`emhash.dataio.full_similarity`), which is then cast to
+    float64 once.  With b = 0 and entries in {-1, 0, +1}, each row sum of
+    ``|s|`` is the row's count of nonzeros, exact in float64, so the scale
+    is the :func:`build_scale` value without a float copy of ``|s|``.
     """
-    s = np.asarray(sim_full, dtype=float)
+    s = np.asarray(sim_full)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"full similarity must be square, got shape {s.shape}")
     if not np.array_equal(s, s.T):
         raise ValueError("full similarity must be symmetric")
-    if not np.isin(s, (-1.0, 0.0, 1.0)).all():
+    if not ((s == 0) | (np.abs(s) == 1)).all():
         raise ValueError("similarity entries must be -1, 0 or +1")
-    return make_system(s, np.zeros(s.shape[0]), half_range)
+    if half_range <= 0.0:
+        raise ValueError(f"half_range must be positive, got {half_range}")
+    scale = float(np.count_nonzero(s, axis=1).max()) / half_range
+    return RowSystem(a=np.asarray(s, dtype=float), b=np.zeros(s.shape[0]), scale=scale)
 
 
 def check_dense_budget(shape: tuple) -> None:
@@ -414,17 +421,16 @@ def em_splh_train(
     """Learn soft codes for the correlation energy in one exact solve.
 
     The system is homogeneous by construction, so the homogeneous eigenvector
-    path, re-normalized and squashed, yields the single shared bit column
-    directly; no initialization is involved and every bit column is a copy
-    of it.
+    path (two extremal eigenpairs by Lanczos), re-normalized and squashed,
+    yields the single shared bit column directly; no initialization is
+    involved and every bit column is a copy of it.
     """
     lin = _resolve_linearization(cfg, lin)
     raw = np.asarray(sim_full)
     check_dense_budget(raw.shape)
-    s = raw.astype(float)
-    if s.size == 0 or np.max(np.abs(s)) == 0.0:
+    if not raw.any():
         raise ValueError("all-zero similarity admits no solution")
-    sys = splh_system(s, cfg.linear_range)
+    sys = splh_system(raw, cfg.linear_range)
     column = renormalize_and_squash(solve_homogeneous(sys, lin), sys.b, sys.scale, lin.half_range)
     return np.repeat(column[:, None], cfg.bits, axis=1)
 

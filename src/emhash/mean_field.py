@@ -12,7 +12,9 @@ generic machinery: fitting the linearization, building the scale, the affine
 (b != 0) and homogeneous (b == 0) solvers, and the final re-normalization back
 through the true sigmoid.  The fit's two integrals use a fixed 24-node
 Gauss-Legendre rule; its error on the analytic integrands is far below float64
-rounding, so the whole module needs numpy only.
+rounding.  The homogeneous path needs only the two extremal eigenpairs of its
+matrix, which a Lanczos solve finds without forming the whole spectrum, so the
+whole module needs numpy only.
 
 Everything here is pure: no function mutates its inputs, and
 :class:`LinearizedSigmoid` / :class:`RowSystem` are immutable, so independent
@@ -35,6 +37,7 @@ __all__ = [
     "check_condition",
     "build_scale",
     "solve_affine",
+    "extremal_eigenpairs",
     "solve_homogeneous",
     "renormalize_and_squash",
     "solve_row_system",
@@ -62,6 +65,17 @@ RESIDUAL_TOL = 1e-8
 # Spread below which the pre-squash vector is considered constant and the
 # uninformative 0.5 marginal is returned instead of stretching noise.
 DEGENERATE_SPAN = 1e-12
+
+# Lanczos stops once the residual norm(A @ x - theta * x) of both extremal Ritz
+# pairs is at most this times the infinity norm of A.  Breakdown (an invariant
+# Krylov space) meets it at once, since each residual is at most the new beta.
+LANCZOS_TOL = 1e-12
+
+# Seed of the Lanczos start vector: the solve is a fixed function of its matrix.
+LANCZOS_SEED = 0
+
+# Rows per block of the infinity-norm pass, so it never holds an n-by-n |A|.
+_NORM_ROWS = 64
 
 # Gauss-Legendre nodes and weights on [-1, 1] for the linearization integrals.
 # The integrands' nearest complex poles sit at +-i*pi, far enough from any
@@ -259,6 +273,121 @@ def solve_affine(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
     return v
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.einsum("i,i->", x, y))
+
+
+def _pivots(shifted: list, beta2: list, pivmin: float) -> list:
+    """Pivots of the top-down LDL^T factorization of a shifted tridiagonal.
+
+    ``shifted`` holds ``alpha - x``, ``beta2`` the squared off-diagonal; a
+    pivot smaller than ``pivmin`` in magnitude is replaced by ``-pivmin``.
+    """
+    d = [shifted[0] if abs(shifted[0]) >= pivmin else -pivmin]
+    for s, b2 in zip(shifted[1:], beta2):
+        p = s - b2 / d[-1]
+        d.append(p if abs(p) >= pivmin else -pivmin)
+    return d
+
+
+def _tridiagonal_extremal(alpha: list, beta: list) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenpairs of an unreduced symmetric tridiagonal.
+
+    Each eigenvalue is bisected inside the Gershgorin bounds on its Sturm
+    count (the negative pivots at a shift count the eigenvalues below it),
+    down to float64 resolution.  Each eigenvector comes from one twisted
+    factorization at its eigenvalue, twisted where ``|gamma|`` is least: one
+    step of inverse iteration from the unit vector that the eigenvector
+    weights most.  At an extremal eigenvalue every pivot of either one-sided
+    factorization but its last has one sign, so the recurrences are stable.
+    Returns
+    ``(values, vectors)`` with ``values = [min, max]`` and unit columns.
+    """
+    k = len(alpha)
+    if k == 1:
+        return np.array([alpha[0], alpha[0]]), np.ones((1, 2))
+    eps = float(np.finfo(float).eps)
+    beta2 = [b * b for b in beta]
+    pivmin = float(np.finfo(float).tiny) * max(1.0, max(beta2))
+    radius = [x + y for x, y in zip([*beta, 0.0], [0.0, *beta])]
+    lo = min(a - r for a, r in zip(alpha, radius))
+    hi = max(a + r for a, r in zip(alpha, radius))
+    floor = eps * max(abs(lo), abs(hi))
+    lo, hi = lo - k * floor, hi + k * floor
+    values = []
+    for target in (1, k):
+        # The Sturm count reaches the target at ``high``, not at ``low``.
+        low, high = lo, hi
+        while high - low > max(2.0 * eps * max(abs(low), abs(high)), floor):
+            mid = 0.5 * (low + high)
+            below = sum(p < 0.0 for p in _pivots([a - mid for a in alpha], beta2, pivmin))
+            low, high = (low, mid) if below >= target else (mid, high)
+        values.append(0.5 * (low + high))
+    vectors = np.zeros((k, 2))
+    for j, theta in enumerate(values):
+        shifted = [a - theta for a in alpha]
+        down = _pivots(shifted, beta2, pivmin)
+        up = _pivots(shifted[::-1], beta2[::-1], pivmin)[::-1]
+        twist = int(np.argmin(np.abs(np.add(down, up) - shifted)))
+        z = [0.0] * k
+        z[twist] = 1.0
+        for i in range(twist - 1, -1, -1):
+            z[i] = -beta[i] * z[i + 1] / down[i]
+        for i in range(twist + 1, k):
+            z[i] = -beta[i - 1] * z[i - 1] / up[i]
+        vectors[:, j] = z
+    vectors /= np.sqrt(np.einsum("kj,kj->j", vectors, vectors))
+    return np.array(values), vectors
+
+
+def extremal_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenpairs of a symmetric matrix, by Lanczos.
+
+    Returns ``(values, vectors)`` with ``values = [lambda_min, lambda_max]``
+    and unit eigenvectors as the columns of ``vectors``.  The Krylov basis
+    starts from a Gaussian vector drawn from ``LANCZOS_SEED`` and is fully
+    reorthogonalized (classical Gram-Schmidt, twice) at every step; it grows
+    one row at a time, so memory is O(n * steps).  The solve stops once both
+    extremal Ritz residuals are at most ``LANCZOS_TOL`` times the infinity
+    norm of ``a``, on breakdown, or after n steps, where the Krylov space is
+    the whole space and the Ritz pairs are exact.
+
+    Within a repeated extremal eigenvalue the vector is the start vector's
+    component in that eigenspace: deterministic, but not the one a dense
+    eigensolver picks.  Every product is an ``einsum``, never BLAS, so the
+    result does not depend on the BLAS thread count.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
+    n = a.shape[0]
+    norm = max(float(np.abs(a[k:k + _NORM_ROWS]).sum(axis=1).max()) for k in range(0, n, _NORM_ROWS))
+    start = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    basis = np.empty((min(n, 16), n))
+    basis[0] = start / np.sqrt(_dot(start, start))
+    alpha: list[float] = []
+    beta: list[float] = []
+    for k in range(1, n + 1):
+        w = np.einsum("ij,j->i", a, basis[k - 1])
+        projection = np.zeros(k)
+        for _ in range(2):
+            c = np.einsum("kn,n->k", basis[:k], w)
+            w -= np.einsum("k,kn->n", c, basis[:k])
+            projection += c
+        alpha.append(float(projection[-1]))
+        step = float(np.sqrt(_dot(w, w)))
+        values, ritz = _tridiagonal_extremal(alpha, beta)
+        if k == n or step * np.max(np.abs(ritz[-1])) <= LANCZOS_TOL * norm:
+            break
+        beta.append(step)
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, n - k), n))])
+        basis[k] = w / step
+    vectors = np.einsum("kn,kj->nj", basis[:k], ritz)
+    vectors /= np.sqrt(np.einsum("nj,nj->j", vectors, vectors))
+    return values, vectors
+
+
 def solve_homogeneous(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
     """Best nonzero direction of the linearized system for b == 0.
 
@@ -272,17 +401,26 @@ def solve_homogeneous(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
     dominated by their top positive eigenvalue (the similarity matrices
     this path serves) the minimizer is simply the top eigenvector.
 
+    Only the two extremal eigenpairs can win, so only they are computed
+    (:func:`extremal_eigenpairs`).  With the :func:`build_scale` scale and
+    :func:`check_condition` holding, ``scale >= 2*slope*lambda_max``, so over
+    positive eigenvalues the cost ``scale/lambda - 2*slope`` is least at
+    lambda_max; over negative ones ``scale/|lambda| + 2*slope`` is least at
+    lambda_min.  A tie goes to lambda_min.
+
     The sign is fixed so the first entry of nonnegligible magnitude is
     positive (both signs solve the problem; hashing bits are
     sign-symmetric under Hamming ranking).
     """
     if sys.scale <= 0.0:
         raise ValueError("homogeneous path requires a positive scale")
+    if not check_condition(lin):
+        raise ValueError("linearization violates the solvability condition")
     if np.max(np.abs(sys.b)) >= ZERO_TOL:
         raise ValueError("homogeneous path requires b == 0")
-    if np.max(np.abs(sys.a)) < ZERO_TOL:
+    if max(sys.a.max(), -sys.a.min()) < ZERO_TOL:
         raise ValueError("zero matrix admits no preferred direction")
-    values, vectors = np.linalg.eigh(sys.a)
+    values, vectors = extremal_eigenpairs(sys.a)
     live = np.abs(values) > ZERO_TOL * np.max(np.abs(values))
     cost = np.full(values.shape, np.inf)
     cost[live] = np.abs(sys.scale / values[live] - 2.0 * lin.slope)

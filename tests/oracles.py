@@ -5,6 +5,8 @@ definition that ``dataio.similarity_block`` reproduces in bulk, and
 ``text_codes_per_token`` the token-by-token text the code writer reproduces
 in bulk.  ``ksh_train_rebuilding_rows`` is em-ksh training with every anchor
 row's system built from scratch, which the downdated sweep must reproduce.
+``homogeneous_dense`` is the homogeneous solve over the whole spectrum by a
+dense eigensolver, which the two-eigenpair Lanczos path must reproduce.
 The rest cross-checks the closed-form training path: a damped iteration of
 the exact consistency equations, and exhaustive minimization of an energy
 over all code matrices of a tiny instance.
@@ -18,7 +20,7 @@ import numpy as np
 
 from emhash.dataio import Label
 from emhash.energy_models import SimilarityView, TrainConfig, ksh_anchor_system, ksh_tail_pass
-from emhash.mean_field import LinearizedSigmoid, sigmoid, solve_row_system
+from emhash.mean_field import ZERO_TOL, LinearizedSigmoid, RowSystem, sigmoid, solve_row_system
 
 # Size guard for the damped-iteration oracle; it is a reference tool, not a
 # production path, and its dense quadratic cost is only acceptable on small
@@ -66,6 +68,28 @@ def ksh_train_rebuilding_rows(
     if sim.n > m:
         phi[m:] = ksh_tail_pass(phi[:m], sim, lin)
     return phi
+
+
+def homogeneous_dense(sys: RowSystem, lin: LinearizedSigmoid) -> tuple[np.ndarray, np.ndarray, int]:
+    """The homogeneous solve over the whole spectrum of a dense ``eigh``.
+
+    Among the live eigenvalues (magnitude above ``ZERO_TOL`` times the
+    largest) the one least ``|scale / eigenvalue - 2*slope|`` wins, ties to
+    the lowest eigenvalue, and its vector's first nonnegligible entry is made
+    positive.  Returns ``(values, vectors, chosen)``: the ascending spectrum,
+    its eigenvectors as columns and the winner's index, whose column is
+    sign-fixed.
+    """
+    values, vectors = np.linalg.eigh(sys.a)
+    live = np.abs(values) > ZERO_TOL * np.max(np.abs(values))
+    cost = np.full(values.shape, np.inf)
+    cost[live] = np.abs(sys.scale / values[live] - 2.0 * lin.slope)
+    chosen = int(np.argmin(cost))
+    v = vectors[:, chosen]
+    lead = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
+    if v[lead] < 0.0:
+        vectors[:, chosen] = -v
+    return values, vectors, chosen
 
 
 def ksh_row_consistency(phi: np.ndarray, sim_full: np.ndarray, row: int) -> np.ndarray:

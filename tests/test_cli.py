@@ -358,6 +358,11 @@ class TestBlasThreads:
         outputs = self.outputs_per_thread_count(tmp_path, "em-lfh")
         assert outputs[1] == outputs[2] == outputs[4]
 
+    def test_em_splh_outputs_identical_across_openblas_thread_counts(self, tmp_path):
+        """The homogeneous solve over the dense 1000-by-1000 similarity."""
+        outputs = self.outputs_per_thread_count(tmp_path, "em-splh")
+        assert outputs[1] == outputs[2] == outputs[4]
+
 
 class TestNumpyOnlyRuntime:
     """The stage processes import numpy and no scipy module."""

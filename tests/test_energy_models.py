@@ -4,12 +4,13 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emhash import energy_models
 from emhash.codec import round_codes
+from emhash.dataio import full_similarity
 from emhash.energy_models import (
     _ROW_BLOCK,
     _ksh_coupling,
@@ -32,6 +33,7 @@ from emhash.energy_models import (
 )
 from emhash.mean_field import (
     build_scale,
+    extremal_eigenpairs,
     fit_linearization,
     make_system,
     renormalize_and_squash,
@@ -39,7 +41,7 @@ from emhash.mean_field import (
     solve_homogeneous,
     solve_row_system,
 )
-from oracles import ksh_train_rebuilding_rows
+from oracles import homogeneous_dense, ksh_train_rebuilding_rows
 
 LIN = fit_linearization(2.0)
 
@@ -467,6 +469,107 @@ class TestSplh:
         s = np.ones((5001, 5001), dtype=np.int8)
         with pytest.raises(ValueError, match="at most"):
             em_splh_train(s, TrainConfig(bits=1, anchors=1, sweeps=1, seed=0), LIN)
+
+
+# Tolerances of the Lanczos path against the dense oracle, fixed before
+# measuring.  Both are relative to the infinity norm of S.  Eigenvalues: the
+# stop rule bounds each Ritz residual by 1e-12, which bounds the eigenvalue
+# error too; 1e-10 leaves a hundredfold margin for rounding.  Eigenvalues of
+# the oracle within 1e-9 of the chosen one form its eigenspace, and the chosen
+# vector may leave that eigenspace by at most 1e-8 plus the Davis-Kahan bound
+# of a 1e-10 residual over the gap to the rest of the spectrum.
+EIGENVALUE_TOL = 1e-10
+CLUSTER_TOL = 1e-9
+
+CLASS_OR_NONE = st.one_of(st.none(), st.integers(0, 11))
+TAGS_OR_NONE = st.one_of(st.none(), st.frozensets(st.integers(0, 5), min_size=1, max_size=3))
+
+
+class TestSplhLanczos:
+    """The two-eigenpair Lanczos path against the dense whole-spectrum rule."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(
+        st.lists(CLASS_OR_NONE, min_size=2, max_size=60),
+        st.lists(TAGS_OR_NONE, min_size=2, max_size=60),
+        st.lists(st.one_of(CLASS_OR_NONE, TAGS_OR_NONE), min_size=2, max_size=60),
+    ))
+    @example([0, 0])  # one class: S is all ones, rank one
+    @example([0, 1] * 6)  # balanced classes: lambda_max repeats
+    @example(list(range(10)) * 6)  # ten balanced classes: lambda_min wins
+    @example([None, 3])  # one labeled point
+    @example([frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), None])
+    def test_matches_dense_rule_on_label_lists(self, labels):
+        assume(any(label is not None for label in labels))
+        sys = splh_system(full_similarity(labels), 2.0)
+        norm = float(np.abs(sys.a).sum(axis=1).max())
+        spectrum, vectors, chosen = homogeneous_dense(sys, LIN)
+        values, _ = extremal_eigenpairs(sys.a)
+        assert abs(values[0] - spectrum[0]) <= EIGENVALUE_TOL * norm
+        assert abs(values[1] - spectrum[-1]) <= EIGENVALUE_TOL * norm
+
+        v = solve_homogeneous(sys, LIN)
+        assert abs(float(v @ sys.a @ v) - spectrum[chosen]) <= EIGENVALUE_TOL * norm
+        cluster = np.abs(spectrum - spectrum[chosen]) <= CLUSTER_TOL * norm
+        gap = np.min(np.abs(spectrum[~cluster] - spectrum[chosen]), initial=np.inf)
+        bound = 1e-8 + EIGENVALUE_TOL * norm / gap
+        if cluster.sum() == 1:
+            u = vectors[:, chosen]
+            assert min(np.linalg.norm(v - u), np.linalg.norm(v + u)) <= bound
+        else:
+            basis = vectors[:, cluster]
+            assert np.linalg.norm(v - basis @ (basis.T @ v)) <= bound
+
+    def test_splh_dense_shape_codes_match_dense_rule(self):
+        """n = 1500 points in 10 classes, 32 bits."""
+        labels = [int(c) for c in np.random.default_rng(1).integers(0, 10, 1500)]
+        sim = full_similarity(labels)
+        codes, _ = round_codes(em_splh_train(sim, TrainConfig(bits=32, anchors=1, sweeps=1), LIN))
+        sys = splh_system(sim, 2.0)
+        _, vectors, chosen = homogeneous_dense(sys, LIN)
+        column = renormalize_and_squash(vectors[:, chosen], sys.b, sys.scale, 2.0)
+        expected, _ = round_codes(np.repeat(column[:, None], 32, axis=1))
+        np.testing.assert_array_equal(codes, expected)
+        assert 0 < np.count_nonzero(codes[:, 0] > 0) < 1500
+
+    def test_em_splh_never_calls_dense_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        labels = [int(c) for c in np.random.default_rng(2).integers(0, 5, 200)]
+        sim = full_similarity(labels)
+        em_splh_train(sim, TrainConfig(bits=4, anchors=1, sweeps=1), LIN)
+        assert calls == []
+        homogeneous_dense(splh_system(sim, 2.0), LIN)  # the counter does see a dense solve
+        assert calls == [1]
+
+    def test_int8_input_matches_float_input(self):
+        labels = [int(c) for c in np.random.default_rng(3).integers(0, 4, 50)]
+        sim = full_similarity(labels)
+        cfg = TrainConfig(bits=2, anchors=1, sweeps=1)
+        np.testing.assert_array_equal(
+            em_splh_train(sim, cfg, LIN), em_splh_train(sim.astype(float), cfg, LIN)
+        )
+        int_sys, float_sys = splh_system(sim, 2.0), splh_system(sim.astype(float), 2.0)
+        assert int_sys.scale == float_sys.scale == build_scale(float_sys.a, float_sys.b, 2.0)
+        np.testing.assert_array_equal(int_sys.a, float_sys.a)
+
+    def test_splh_system_checks_and_messages(self):
+        with pytest.raises(ValueError, match="must be square"):
+            splh_system(np.ones((2, 3), dtype=np.int8))
+        with pytest.raises(ValueError, match="must be symmetric"):
+            splh_system(np.array([[1, 1], [0, 1]], dtype=np.int8))
+        with pytest.raises(ValueError, match="entries must be -1, 0 or \\+1"):
+            splh_system(np.array([[1, 2], [2, 1]], dtype=np.int8))
+        with pytest.raises(ValueError, match="entries must be -1, 0 or \\+1"):
+            splh_system(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(ValueError, match="half_range must be positive"):
+            splh_system(np.eye(2, dtype=np.int8), 0.0)
 
 
 class TestLfh:

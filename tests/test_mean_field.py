@@ -325,6 +325,16 @@ class TestSolveHomogeneous:
         with pytest.raises(ValueError):
             solve_homogeneous(make_system(np.eye(2), np.ones(2), 2.0), lin)
 
+    def test_refuses_linearization_failing_the_condition(self):
+        """Only then is the winner one of the two extremal eigenpairs."""
+        lin = raw_linearization(2.0, 0.25)
+        assert not check_condition(lin)
+        sys = make_system(np.diag([2.0, 1.0]), np.zeros(2), 2.0)
+        with pytest.raises(ValueError, match="^linearization violates the solvability condition$"):
+            solve_homogeneous(sys, lin)
+        with pytest.raises(ValueError, match="^linearization violates the solvability condition$"):
+            solve_affine(make_system(np.diag([2.0, 1.0]), np.ones(2), 2.0), lin)
+
 
 class TestRenormalizeAndSquash:
     def test_three_point_example(self):
