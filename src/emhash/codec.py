@@ -99,6 +99,9 @@ def fit_projection(features: np.ndarray, phi: np.ndarray, ridge: float = 1.0) ->
     means keeps mean-rounding semantics for unseen points.  When the fit
     is exact (identity features, no ridge) these coincide with the
     soft-code column means.
+
+    The three products over the training rows are ``einsum`` calls, never
+    BLAS, so the model's bytes do not depend on the BLAS thread count.
     """
     features = np.asarray(features, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -111,10 +114,11 @@ def fit_projection(features: np.ndarray, phi: np.ndarray, ridge: float = 1.0) ->
     if ridge < 0.0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     p = features.shape[1]
-    gram = features.T @ features + ridge * np.eye(p)
+    gram = np.einsum("ni,nj->ij", features, features) + ridge * np.eye(p)
     factor = np.linalg.cholesky(gram)
-    weights = np.linalg.solve(factor.T, np.linalg.solve(factor, features.T @ phi))
-    thresholds = (features @ weights).mean(axis=0)
+    rhs = np.einsum("ni,nk->ik", features, phi)
+    weights = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+    thresholds = np.einsum("ni,ik->nk", features, weights).mean(axis=0)
     return ProjectionModel(
         weights=weights,
         thresholds=thresholds,

@@ -49,6 +49,7 @@ __all__ = [
     "sample_similarity_columns",
     "write_codes",
     "read_codes",
+    "check_signs",
     "synthesize_clusters",
 ]
 
@@ -58,8 +59,10 @@ CODES_MAGIC = b"EMHBIN01"
 # Dense similarity blocks are materialized up to this many entries.
 MAX_DENSE_ENTRIES = 10**8
 
-# Text codes are formatted this many rows at a time.
-_TEXT_ROW_BLOCK = 256
+# Text codes are formatted, CSV rows converted to float64 and the entries of a
+# non-integer array checked this many rows at a time, so temporaries stay
+# bounded by the block.
+_ROW_BLOCK = 256
 _CODE_TOKENS = frozenset(("-1", "1"))
 
 Label = None | int | frozenset
@@ -135,30 +138,53 @@ def load_feature_matrix(path: str | Path, fmt: str = "csv", labeled: bool = Fals
         return _load_binary_matrix(path)
     if fmt != "csv":
         raise ValueError(f"unknown feature format {fmt!r}")
-    rows: list[list[float]] = []
+    blocks: list[np.ndarray] = []
+    pending: list[tuple[int, list[str]]] = []
     labels: list[Label] = []
     width = None
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
-        if labeled:
-            if len(fields) < 2:
-                raise ValueError(f"{path}:{lineno}: labeled rows need at least 2 fields")
-            labels.append(_parse_label(fields[-1], path, lineno))
-            fields = fields[:-1]
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ValueError(
-                f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
-            )
         try:
-            rows.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    features = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
+            if labeled:
+                if len(fields) < 2:
+                    raise ValueError(f"{path}:{lineno}: labeled rows need at least 2 fields")
+                labels.append(_parse_label(fields[-1], path, lineno))
+                fields = fields[:-1]
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise ValueError(
+                    f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
+                )
+        except ValueError:
+            # A bad number on an earlier line is the first error in the file.
+            _parse_csv_rows(pending, path)
+            raise
+        pending.append((lineno, fields))
+        if len(pending) == _ROW_BLOCK:
+            blocks.append(_parse_csv_rows(pending, path))
+            pending = []
+    if pending:
+        blocks.append(_parse_csv_rows(pending, path))
+    features = np.concatenate(blocks) if blocks else np.zeros((0, 0))
     return Dataset(features=features, labels=labels if labeled else None)
+
+
+def _parse_csv_rows(pending: list, path: Path) -> np.ndarray:
+    # One conversion per block: numpy parses each field as float() does.  If
+    # it refuses one, float() on each field in turn names the line.
+    try:
+        return np.array([fields for _, fields in pending], dtype=float)
+    except ValueError:
+        rows = []
+        for lineno, fields in pending:
+            try:
+                rows.append([float(f) for f in fields])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        return np.array(rows, dtype=float)
 
 
 def _load_binary_matrix(path: Path) -> Dataset:
@@ -306,6 +332,38 @@ def sample_similarity_columns(dataset: Dataset, m: int, seed: int):
     return SimilarityView(s=block), order
 
 
+def check_signs(values: np.ndarray, message: str, *, zero: bool = False) -> None:
+    """Raise ``ValueError(message)`` unless every entry is -1 or +1 (or 0, with ``zero``).
+
+    An entry passes when it compares equal to an allowed value, so ``True``
+    counts as +1, ``False`` and ``-0.0`` as 0, and NaN never passes.  Integer
+    and bool arrays are checked by their minimum and maximum and, without
+    ``zero``, by their nonzero count, with no temporary of their size.  Any
+    other dtype is compared with the allowed values a fixed block of rows at
+    a time, so its masks stay bounded by the block.
+    """
+    values = np.asarray(values)
+    if values.size == 0:
+        return
+    if values.dtype.kind in "biu":
+        ok = values.min() >= -1 and values.max() <= 1
+        ok = ok and (zero or np.count_nonzero(values) == values.size)
+    else:
+        ok = all(
+            _signs_only(values[k : k + _ROW_BLOCK], zero)
+            for k in range(0, len(values), _ROW_BLOCK)
+        )
+    if not ok:
+        raise ValueError(message)
+
+
+def _signs_only(block: np.ndarray, zero: bool) -> bool:
+    allowed = (block == 1) | (block == -1)
+    if zero:
+        allowed |= block == 0
+    return bool(allowed.all())
+
+
 def write_codes(path: str | Path, codes: np.ndarray, fmt: str = "text") -> None:
     """Write sign codes as text lines or in the packed binary layout.
 
@@ -316,13 +374,12 @@ def write_codes(path: str | Path, codes: np.ndarray, fmt: str = "text") -> None:
     codes = np.asarray(codes)
     if codes.ndim != 2:
         raise ValueError(f"codes must be 2-d, got shape {codes.shape}")
-    if codes.size and not np.isin(codes, (-1, 1)).all():
-        raise ValueError("codes must contain only +1 and -1")
+    check_signs(codes, "codes must contain only +1 and -1")
     if fmt == "text":
         # Token strings exist for one block of rows at a time, so memory stays flat.
         with open(path, "w") as fh:
-            for start in range(0, codes.shape[0], _TEXT_ROW_BLOCK):
-                rows = np.where(codes[start : start + _TEXT_ROW_BLOCK] > 0, "1", "-1").tolist()
+            for start in range(0, codes.shape[0], _ROW_BLOCK):
+                rows = np.where(codes[start : start + _ROW_BLOCK] > 0, "1", "-1").tolist()
                 fh.write("".join(" ".join(row) + "\n" for row in rows))
         return
     if fmt != "packed":

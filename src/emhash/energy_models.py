@@ -38,12 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import check_signs
 from .mean_field import (
     ZERO_TOL,
     LinearizedSigmoid,
     RowSystem,
     build_scale,
     fit_linearization,
+    is_exactly_symmetric,
     make_system,
     renormalize_and_squash,
     sigmoid,
@@ -80,6 +82,8 @@ MAX_DENSE_POINTS = 5000
 # independent of input and thread count, so peak temporary memory stays bounded.
 _ROW_BLOCK = 256
 
+_ENTRIES_MESSAGE = "similarity entries must be -1, 0 or +1"
+
 
 @dataclass(frozen=True, eq=False)
 class SimilarityView:
@@ -87,7 +91,8 @@ class SimilarityView:
 
     Column j holds the similarities of every point against anchor j; the
     anchors occupy the first ``m`` rows, so ``s[j, j] == +1`` for labeled
-    anchors.  A zero entry means the relation is unobserved.
+    anchors.  A zero entry means the relation is unobserved.  The block is
+    held as int8; an int8 block is kept without a copy.
     """
 
     s: np.ndarray
@@ -98,9 +103,8 @@ class SimilarityView:
             raise ValueError(f"similarity view must be 2-d, got shape {s.shape}")
         if s.shape[0] < s.shape[1]:
             raise ValueError("anchor count cannot exceed point count")
-        if not np.isin(s, (-1, 0, 1)).all():
-            raise ValueError("similarity entries must be -1, 0 or +1")
-        object.__setattr__(self, "s", s.astype(np.int8))
+        check_signs(s, _ENTRIES_MESSAGE, zero=True)
+        object.__setattr__(self, "s", s.astype(np.int8, copy=False))
 
     @property
     def n(self) -> int:
@@ -265,11 +269,14 @@ def _resolve_linearization(cfg: TrainConfig, lin: LinearizedSigmoid | None) -> L
 
 
 def ksh_tail_pass(
-    phi_anchors: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid,
+    phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid,
     *, gain: float | None = None,
 ) -> np.ndarray:
-    """Solve every non-anchor row, one build, stacked solve and squash per row block.
+    """Solve every non-anchor row in place, one build, stacked solve and squash per row block.
 
+    ``phi`` is the float64 array of soft codes of all ``sim.n`` points,
+    anchors first: its anchor rows are read, its remaining rows are
+    overwritten, and that tail ``phi[m:]`` is returned.
     The shared coupling and its eigendecomposition are computed once; each
     block of ``_ROW_BLOCK`` rows gets its linear terms and scales from
     :func:`ksh_tail_systems` at evidence ``gain`` (default: the code length),
@@ -278,15 +285,15 @@ def ksh_tail_pass(
     evidence stay at 0.5 and a zero shared matrix gives ``sigmoid(b / scale)``.
     """
     m = sim.m
-    phi_anchors = np.asarray(phi_anchors, dtype=float)
-    if phi_anchors.shape[0] != m:
-        raise ValueError(f"anchor block must have exactly {m} rows, got {phi_anchors.shape[0]}")
-    x = 2.0 * phi_anchors - 1.0
+    if phi.shape[0] != sim.n:
+        raise ValueError(f"soft codes must have exactly {sim.n} rows, got {phi.shape[0]}")
+    x = 2.0 * phi[:m] - 1.0
     gain = x.shape[1] if gain is None else gain
     a = _ksh_coupling(x)
     explicit = np.max(np.abs(a)) < ZERO_TOL
     eig = None if explicit else eigendecompose_shared(a)
-    out = np.full((sim.n - m, x.shape[1]), 0.5)
+    out = phi[m:]
+    out[...] = 0.5
     for start in range(0, out.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         b, scales = ksh_tail_systems(a, x, sim.s[m:][rows], lin.half_range, gain)
@@ -313,9 +320,10 @@ def _train(
     runs ``cfg.sweeps`` sequential sweeps over the anchor rows, each one
     ``sweep(phi_anchors, sim, lin)``, which re-solves every anchor row in
     index order against the current state of the others and writes it back
-    in place, then finishes the remaining rows with :func:`ksh_tail_pass` at
-    ``tail_gain``.  A row without evidence (b ~ 0) gets the uninformative 0.5
-    marginals: the quadratic coupling alone carries no supervision.
+    in place, then finishes the remaining rows in place with
+    :func:`ksh_tail_pass` at ``tail_gain``.  A row without evidence (b ~ 0)
+    gets the uninformative 0.5 marginals: the quadratic coupling alone
+    carries no supervision.
     """
     lin = _resolve_linearization(cfg, lin)
     if cfg.anchors != sim.m:
@@ -326,7 +334,7 @@ def _train(
     for _ in range(cfg.sweeps):
         sweep(phi[:m], sim, lin)
     if sim.n > m:
-        phi[m:] = ksh_tail_pass(phi[:m], sim, lin, gain=tail_gain)
+        ksh_tail_pass(phi, sim, lin, gain=tail_gain)
     return phi
 
 
@@ -385,23 +393,27 @@ def splh_system(sim_full: np.ndarray, half_range: float = 2.0) -> RowSystem:
 
     The full square similarity matrix itself is the system matrix and the
     linear term is exactly zero; no bit depends on another, so all bit
-    columns pose this one problem.  The checks run on the input as given
-    (int8 from :func:`emhash.dataio.full_similarity`), which is then cast to
-    float64 once.  With b = 0 and entries in {-1, 0, +1}, each row sum of
-    ``|s|`` is the row's count of nonzeros, exact in float64, so the scale
-    is the :func:`build_scale` value without a float copy of ``|s|``.
+    columns pose this one problem.  The checks run on the input as given;
+    the matrix is then held as int8 (without a copy when it is int8, as
+    :func:`emhash.dataio.full_similarity` builds it), never as float64.
+    With b = 0 and entries in {-1, 0, +1}, each row sum of ``|s|`` is the
+    row's count of nonzeros, so the scale is the :func:`build_scale` value,
+    counted a block of rows at a time.
     """
     s = np.asarray(sim_full)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"full similarity must be square, got shape {s.shape}")
-    if not np.array_equal(s, s.T):
+    if not is_exactly_symmetric(s):
         raise ValueError("full similarity must be symmetric")
-    if not ((s == 0) | (np.abs(s) == 1)).all():
-        raise ValueError("similarity entries must be -1, 0 or +1")
+    check_signs(s, _ENTRIES_MESSAGE, zero=True)
     if half_range <= 0.0:
         raise ValueError(f"half_range must be positive, got {half_range}")
-    scale = float(np.count_nonzero(s, axis=1).max()) / half_range
-    return RowSystem(a=np.asarray(s, dtype=float), b=np.zeros(s.shape[0]), scale=scale)
+    s = s.astype(np.int8, copy=False)
+    nonzeros = max(
+        int(np.count_nonzero(s[k : k + _ROW_BLOCK], axis=1).max())
+        for k in range(0, s.shape[0], _ROW_BLOCK)
+    )
+    return RowSystem(a=s, b=np.zeros(s.shape[0]), scale=nonzeros / half_range)
 
 
 def check_dense_budget(shape: tuple) -> None:
@@ -510,7 +522,7 @@ def em_lfh_train(
 
 def _validate_codes_and_similarity(codes: np.ndarray, sim_full: np.ndarray):
     codes = np.asarray(codes, dtype=float)
-    s = np.asarray(sim_full, dtype=float)
+    s = np.asarray(sim_full)
     if codes.ndim != 2:
         raise ValueError(f"codes must be 2-d, got shape {codes.shape}")
     if not np.all(np.abs(codes) == 1.0):
@@ -528,7 +540,7 @@ def ksh_energy(codes: np.ndarray, sim_full: np.ndarray) -> float:
     codes, s = _validate_codes_and_similarity(codes, sim_full)
     bits = codes.shape[1]
     gram = codes @ codes.T
-    penal = (gram - bits * s) ** 2 * (s != 0.0)
+    penal = (gram - float(bits) * s) ** 2 * (s != 0)
     return float(0.25 * 0.5 * (penal.sum() - np.trace(penal)))
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import index_labels, similarity_block
+from .dataio import check_signs, index_labels, similarity_block
 
 __all__ = [
     "RankingResult",
@@ -40,8 +40,7 @@ def _as_codes(codes: np.ndarray, ndim: int = 2) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != ndim:
         raise ValueError(f"codes must be {ndim}-d, got shape {codes.shape}")
-    if codes.size and not np.isin(codes, (-1, 1)).all():
-        raise ValueError("codes must contain only +1 and -1")
+    check_signs(codes, "codes must contain only +1 and -1")
     return codes.astype(np.float32, copy=False)
 
 

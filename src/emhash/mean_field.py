@@ -36,6 +36,7 @@ __all__ = [
     "fit_linearization",
     "check_condition",
     "build_scale",
+    "is_exactly_symmetric",
     "solve_affine",
     "extremal_eigenpairs",
     "solve_homogeneous",
@@ -74,7 +75,8 @@ LANCZOS_TOL = 1e-12
 # Seed of the Lanczos start vector: the solve is a fixed function of its matrix.
 LANCZOS_SEED = 0
 
-# Rows per block of the infinity-norm pass, so it never holds an n-by-n |A|.
+# Rows per block of the infinity-norm and symmetry passes, so neither holds
+# an n-by-n temporary.
 _NORM_ROWS = 64
 
 # Gauss-Legendre nodes and weights on [-1, 1] for the linearization integrals.
@@ -197,13 +199,32 @@ def build_scale(a: np.ndarray, b: np.ndarray, half_range: float) -> float | np.n
     return float(scales) if b.ndim == 1 else scales
 
 
+def _int8_or_float(a: np.ndarray) -> np.ndarray:
+    # An int8 matrix (the em-splh similarity) stays int8; any other is float64.
+    a = np.asarray(a)
+    return a if a.dtype == np.int8 else a.astype(float, copy=False)
+
+
+def is_exactly_symmetric(a: np.ndarray) -> bool:
+    """True iff the square matrix ``a`` equals its transpose entry for entry.
+
+    Compares a fixed block of rows with the matching block of columns at a
+    time, so no temporary of the matrix's size is formed.
+    """
+    return all(
+        np.array_equal(a[k : k + _NORM_ROWS], a[:, k : k + _NORM_ROWS].T)
+        for k in range(0, a.shape[0], _NORM_ROWS)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class RowSystem:
     """One consistency-equation instance: symmetric matrix, vector, scale.
 
     ``a`` must be exactly symmetric (built symmetric, never symmetrized
     after the fact) and ``scale`` is the :func:`build_scale` value for the
-    half-range in use.
+    half-range in use.  An int8 ``a`` (the em-splh similarity matrix) is
+    kept as it is; any other matrix is held as float64.
     """
 
     a: np.ndarray
@@ -211,13 +232,13 @@ class RowSystem:
     scale: float
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
+        a = _int8_or_float(self.a)
         b = np.asarray(self.b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         if b.shape != (a.shape[0],):
             raise ValueError(f"vector length {b.shape} does not match matrix {a.shape}")
-        if not np.array_equal(a, a.T):
+        if not is_exactly_symmetric(a):
             raise ValueError("matrix must be exactly symmetric")
         if self.scale < 0.0:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
@@ -355,13 +376,18 @@ def extremal_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Within a repeated extremal eigenvalue the vector is the start vector's
     component in that eigenspace: deterministic, but not the one a dense
     eigensolver picks.  Every product is an ``einsum``, never BLAS, so the
-    result does not depend on the BLAS thread count.
+    result does not depend on the BLAS thread count.  An int8 ``a`` is
+    multiplied as it is: ``einsum`` widens it a buffer at a time, to the
+    same float64 products, so no float64 copy of the matrix is formed.
     """
-    a = np.asarray(a, dtype=float)
+    a = _int8_or_float(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
     n = a.shape[0]
-    norm = max(float(np.abs(a[k:k + _NORM_ROWS]).sum(axis=1).max()) for k in range(0, n, _NORM_ROWS))
+    norm = max(
+        float(np.abs(a[k : k + _NORM_ROWS], dtype=float).sum(axis=1).max())
+        for k in range(0, n, _NORM_ROWS)
+    )
     start = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
     basis = np.empty((min(n, 16), n))
     basis[0] = start / np.sqrt(_dot(start, start))
@@ -418,7 +444,7 @@ def solve_homogeneous(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
         raise ValueError("linearization violates the solvability condition")
     if np.max(np.abs(sys.b)) >= ZERO_TOL:
         raise ValueError("homogeneous path requires b == 0")
-    if max(sys.a.max(), -sys.a.min()) < ZERO_TOL:
+    if max(float(sys.a.max()), -float(sys.a.min())) < ZERO_TOL:
         raise ValueError("zero matrix admits no preferred direction")
     values, vectors = extremal_eigenpairs(sys.a)
     live = np.abs(values) > ZERO_TOL * np.max(np.abs(values))

@@ -7,6 +7,9 @@ in bulk.  ``ksh_train_rebuilding_rows`` is em-ksh training with every anchor
 row's system built from scratch, which the downdated sweep must reproduce.
 ``homogeneous_dense`` is the homogeneous solve over the whole spectrum by a
 dense eigensolver, which the two-eigenpair Lanczos path must reproduce.
+``check_signs_isin`` is the entry check that ``dataio.check_signs`` makes
+without a whole-array copy, and ``load_feature_csv_per_field`` the feature
+CSV reader that the block parser of ``dataio.load_feature_matrix`` reproduces.
 The rest cross-checks the closed-form training path: a damped iteration of
 the exact consistency equations, and exhaustive minimization of an energy
 over all code matrices of a tiny instance.
@@ -15,10 +18,11 @@ over all code matrices of a tiny instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from emhash.dataio import Label
+from emhash.dataio import Dataset, Label, _parse_label
 from emhash.energy_models import SimilarityView, TrainConfig, ksh_anchor_system, ksh_tail_pass
 from emhash.mean_field import ZERO_TOL, LinearizedSigmoid, RowSystem, sigmoid, solve_row_system
 
@@ -50,6 +54,42 @@ def text_codes_per_token(codes: np.ndarray) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def check_signs_isin(values: np.ndarray, message: str, zero: bool = False) -> None:
+    """Raise ``ValueError(message)`` unless ``np.isin`` finds every entry among
+    -1 and +1 (and 0, with ``zero``)."""
+    values = np.asarray(values)
+    if values.size and not np.isin(values, (-1, 0, 1) if zero else (-1, 1)).all():
+        raise ValueError(message)
+
+
+def load_feature_csv_per_field(path: Path, labeled: bool = False) -> Dataset:
+    """Feature CSV reader that converts one field at a time with ``float()``."""
+    rows: list[list[float]] = []
+    labels: list[Label] = []
+    width = None
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if labeled:
+            if len(fields) < 2:
+                raise ValueError(f"{path}:{lineno}: labeled rows need at least 2 fields")
+            labels.append(_parse_label(fields[-1], path, lineno))
+            fields = fields[:-1]
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ValueError(
+                f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
+            )
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    features = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
+    return Dataset(features=features, labels=labels if labeled else None)
+
+
 def ksh_train_rebuilding_rows(
     sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid
 ) -> np.ndarray:
@@ -66,7 +106,7 @@ def ksh_train_rebuilding_rows(
         for i in range(m):
             phi[i] = solve_row_system(ksh_anchor_system(phi[:m], sim, i, lin.half_range), lin)
     if sim.n > m:
-        phi[m:] = ksh_tail_pass(phi[:m], sim, lin)
+        ksh_tail_pass(phi, sim, lin)
     return phi
 
 

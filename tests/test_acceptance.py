@@ -277,9 +277,10 @@ def test_criterion_09_complexity_trend():
     peaks = {}
     for bits in (32, 64):
         view = bench_view(3000, 500)
-        anchor_phi = np.random.default_rng([7, bits]).random((500, bits))
+        phi = np.empty((3000, bits))
+        phi[:500] = np.random.default_rng([7, bits]).random((500, bits))
         tracemalloc.start()
-        ksh_tail_pass(anchor_phi, view, LIN)
+        ksh_tail_pass(phi, view, LIN)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         peaks[bits] = peak

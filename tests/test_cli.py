@@ -326,8 +326,8 @@ class TestMethods:
 class TestBlasThreads:
     """Train with a tail of 900 rows, four row blocks, one child per thread count."""
 
-    def outputs_per_thread_count(self, tmp_path, method, sweeps=1):
-        data = synth(tmp_path, clusters=4, per_cluster=250, dim=16)
+    def outputs_per_thread_count(self, tmp_path, method, sweeps=1, per_cluster=250, dim=16):
+        data = synth(tmp_path, clusters=4, per_cluster=per_cluster, dim=dim)
         source = str(Path(emhash.__file__).resolve().parents[1])
         outputs = {}
         for threads in (1, 2, 4):
@@ -361,6 +361,12 @@ class TestBlasThreads:
     def test_em_splh_outputs_identical_across_openblas_thread_counts(self, tmp_path):
         """The homogeneous solve over the dense 1000-by-1000 similarity."""
         outputs = self.outputs_per_thread_count(tmp_path, "em-splh")
+        assert outputs[1] == outputs[2] == outputs[4]
+
+    def test_projection_fit_identical_across_openblas_thread_counts(self, tmp_path):
+        """1500 points of 32 features, the em-splh benchmark's shape, where a BLAS
+        product over the training rows splits its sums by thread count."""
+        outputs = self.outputs_per_thread_count(tmp_path, "em-splh", per_cluster=375, dim=32)
         assert outputs[1] == outputs[2] == outputs[4]
 
 

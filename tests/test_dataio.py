@@ -1,13 +1,17 @@
 """Tests for file formats, similarity derivation and anchor sampling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from emhash import dataio
 from emhash.dataio import (
     Dataset,
+    check_signs,
     full_similarity,
     index_labels,
     load_feature_matrix,
@@ -22,7 +26,13 @@ from emhash.dataio import (
     write_feature_matrix,
     write_label_file,
 )
-from oracles import label_similarity, text_codes_per_token
+from emhash.evaluation import hamming_distances
+from oracles import (
+    check_signs_isin,
+    label_similarity,
+    load_feature_csv_per_field,
+    text_codes_per_token,
+)
 
 
 # Every label that has a file form: unlabeled, a class id, a non-empty tag set.
@@ -107,6 +117,143 @@ class TestCsvLoading:
     def test_one_dimensional_features_refused_with_the_shape(self, tmp_path):
         with pytest.raises(ValueError, match=r"got shape \(4,\)"):
             write_feature_csv(tmp_path / "m.csv", np.zeros(4))
+
+
+def outcome(load, *args):
+    """What a loader did: its features' bytes and labels, or its error message."""
+    try:
+        dataset = load(*args)
+    except ValueError as exc:
+        return str(exc)
+    return dataset.features.shape, dataset.features.tobytes(), dataset.labels
+
+
+VALID_FIELDS = st.sampled_from(["1", "-2.5", " 3e2 ", "0.1", "1_0", "-0", "+.5", "١٢"])
+VALID_LABELS = st.sampled_from(["4", "1;7", "", "9;"])
+BAD_TOKENS = st.sampled_from(["x", "", "1e", "nan", "inf", "0x10"])
+
+
+@st.composite
+def csv_files(draw):
+    """A feature CSV, labeled or not, with up to two corrupted lines and blank lines."""
+    labeled = draw(st.booleans())
+    width = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        fields = draw(st.lists(VALID_FIELDS, min_size=width, max_size=width))
+        rows.append(fields + [draw(VALID_LABELS)] if labeled else fields)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["token", "drop", "extra"]))
+        if kind == "token":
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_TOKENS)
+        elif kind == "drop":
+            row.pop()
+        else:
+            row.append("1")
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    return labeled, "\n".join(lines) + "\n"
+
+
+class TestCsvBlocks:
+    """The block parser against the reader that converts one field at a time."""
+
+    @settings(deadline=None)
+    @given(csv=csv_files(), block=st.integers(1, 3))
+    def test_matches_the_per_field_reader(self, tmp_path_factory, csv, block):
+        labeled, text = csv
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_text(text)
+        with mock.patch.object(dataio, "_ROW_BLOCK", block):
+            got = outcome(load_feature_matrix, path, "csv", labeled)
+        assert got == outcome(load_feature_csv_per_field, path, labeled)
+
+    def test_errors_past_the_first_block_name_their_line(self, tmp_path):
+        """Blank lines count; a bad number before a ragged row is reported first."""
+        rows = [f"{k},{k + 0.5}" for k in range(600)]
+        rows[300] = "1,oops"
+        rows[301] = "1,2,3"
+        path = tmp_path / "m.csv"
+        path.write_text("\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"m\.csv:302: could not convert string to float: 'oops'$"):
+            load_feature_matrix(path, "csv")
+        rows[300] = "1,2"
+        path.write_text("\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"m\.csv:303: ragged row \(3 fields, expected 2\)$"):
+            load_feature_matrix(path, "csv")
+
+    def test_several_blocks_match_float_per_field(self, tmp_path):
+        features = np.random.default_rng(5).normal(size=(3 * dataio._ROW_BLOCK + 7, 4))
+        path = tmp_path / "m.csv"
+        write_feature_csv(path, features, [k % 3 for k in range(features.shape[0])])
+        assert outcome(load_feature_matrix, path, "csv", True) == outcome(
+            load_feature_csv_per_field, path, True
+        )
+        np.testing.assert_array_equal(load_feature_matrix(path, "csv", True).features, features)
+
+
+# Entries that some check must refuse, per dtype: out of {-1, 0, 1}, fractions,
+# NaN and the int8 minimum, whose absolute value wraps to itself.
+BAD_ENTRIES = {
+    np.int8: [-128, -2, 2, 127],
+    np.int64: [-(2**63), -128, -2, 2, 2**40],
+    np.float64: [0.5, -0.5, 2.0, -128.0, np.nan, np.inf],
+}
+
+
+@st.composite
+def sign_arrays(draw):
+    """Arrays of -1/0/+1 (False/True for bool), some with one bad entry."""
+    dtype = draw(st.sampled_from([np.int8, np.int64, np.float64, np.bool_]))
+    shape = draw(array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5))
+    valid = st.booleans() if dtype is np.bool_ else st.sampled_from([-1, 0, 1])
+    values = draw(arrays(dtype, shape, elements=valid))
+    if values.size and dtype in BAD_ENTRIES and draw(st.booleans()):
+        values.flat[draw(st.integers(0, values.size - 1))] = draw(st.sampled_from(BAD_ENTRIES[dtype]))
+    return values
+
+
+def verdict(check, values, zero):
+    try:
+        check(values, "entries off", zero=zero)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckSigns:
+    @settings(deadline=None)
+    @given(values=sign_arrays(), zero=st.booleans())
+    def test_agrees_with_isin(self, values, zero):
+        assert verdict(check_signs, values, zero) == verdict(check_signs_isin, values, zero)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("row", [0, dataio._ROW_BLOCK - 1, dataio._ROW_BLOCK, -1])
+    def test_float_blocks_cover_every_row(self, dtype, row):
+        values = np.ones((2 * dataio._ROW_BLOCK + 5, 3), dtype=dtype)
+        check_signs(values, "entries off")
+        values[row, 2] = np.nan
+        with pytest.raises(ValueError, match="^entries off$"):
+            check_signs(values, "entries off", zero=True)
+
+    @pytest.mark.parametrize(
+        "codes", [np.array([[1, 0]], dtype=np.int8), np.array([[1, -128]], dtype=np.int8),
+                  np.array([[1.0, 0.5]]), np.array([[1.0, np.nan]])],
+        ids=["zero", "int8-min", "half", "nan"],
+    )
+    def test_both_code_checks_refuse_with_one_message(self, tmp_path, codes):
+        with pytest.raises(ValueError, match="^codes must contain only \\+1 and -1$"):
+            write_codes(tmp_path / "codes.txt", codes)
+        with pytest.raises(ValueError, match="^codes must contain only \\+1 and -1$"):
+            hamming_distances(codes, np.ones((3, 2), dtype=np.int8))
+
+    def test_bool_counts_as_zero_and_one(self):
+        check_signs(np.array([True, False]), "entries off", zero=True)
+        with pytest.raises(ValueError):
+            check_signs(np.array([True, False]), "entries off")
+        check_signs(np.array([True, True]), "entries off")
 
 
 class TestBinaryMatrix:

@@ -1,6 +1,7 @@
 """Tests for the hashing-energy system builders and training loops."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ from emhash.mean_field import (
 from oracles import homogeneous_dense, ksh_train_rebuilding_rows
 
 LIN = fit_linearization(2.0)
+
+
+def tail_pass(phi_anchors, view, lin, **kwargs):
+    """ksh_tail_pass on soft codes whose tail rows start out as NaN."""
+    phi = np.full((view.n, phi_anchors.shape[1]), np.nan)
+    phi[: view.m] = phi_anchors
+    return ksh_tail_pass(phi, view, lin, **kwargs)
 
 
 def random_full_similarity(rng, n):
@@ -572,6 +580,64 @@ class TestSplhLanczos:
             splh_system(np.eye(2, dtype=np.int8), 0.0)
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInt8Blocks:
+    """Training holds each similarity block once, as int8."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[1, -128], [-128, 1]], dtype=np.int8),
+            np.array([[1, 2], [2, 1]], dtype=np.int64),
+            np.array([[1.0, 0.5], [0.5, 1.0]]),
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        ],
+        ids=["int8-min", "int64-two", "half", "nan"],
+    )
+    def test_both_similarity_checks_refuse_with_one_message(self, bad):
+        # NaN is unequal to itself, so splh_system reports it as asymmetric.
+        splh_message = "must be symmetric" if np.isnan(bad).any() else "^similarity entries must be"
+        with pytest.raises(ValueError, match="^similarity entries must be -1, 0 or \\+1$"):
+            SimilarityView(s=bad)
+        with pytest.raises(ValueError, match=splh_message):
+            splh_system(bad)
+
+    def test_bool_block_reads_as_zero_and_one(self):
+        view = SimilarityView(s=np.array([[True], [False]]))
+        assert view.s.dtype == np.int8
+        np.testing.assert_array_equal(view.s, [[1], [0]])
+
+    def test_view_keeps_an_int8_block_and_allocates_under_one_percent_of_it(self):
+        labels = np.random.default_rng(8).integers(0, 12, size=3000)
+        block = np.where(labels[:, None] == labels[None, :800], 1, -1).astype(np.int8)
+        view, peak = traced_peak(SimilarityView, block)
+        assert view.s is block
+        assert peak < 0.01 * block.nbytes
+
+    def test_splh_system_holds_the_int8_matrix(self):
+        sim = full_similarity([int(c) for c in np.random.default_rng(9).integers(0, 4, 40)])
+        assert splh_system(sim).a is sim
+        assert splh_system(sim.astype(float)).a.dtype == np.int8
+
+    def test_em_splh_train_peak_at_1500_points(self):
+        """The Lanczos solve multiplies the int8 matrix itself: no n-by-n float64."""
+        labels = [int(c) for c in np.random.default_rng(10).integers(0, 10, 1500)]
+        sim = full_similarity(labels)
+        cfg = TrainConfig(bits=32, anchors=1, sweeps=1)
+        phi, peak = traced_peak(em_splh_train, sim, cfg, LIN)
+        assert len(set(map(tuple, round_codes(phi)[0]))) > 1
+        assert peak <= 4 * 2**20
+
+
 class TestLfh:
     def test_weight_limit_at_zero(self):
         assert variational_weight(0.0) == pytest.approx(-0.125, abs=1e-12)
@@ -639,7 +705,7 @@ class TestLfh:
         s = np.where(labels[:, None] == labels[None, :20], 1, -1).astype(np.int8)
         view = SimilarityView(s=s)
         phi = em_lfh_train(view, TrainConfig(bits=6, anchors=20, sweeps=2, seed=1), LIN)
-        np.testing.assert_array_equal(phi[20:], ksh_tail_pass(phi[:20], view, LIN, gain=2.0))
+        np.testing.assert_array_equal(phi[20:], tail_pass(phi[:20], view, LIN, gain=2.0))
 
     @pytest.mark.parametrize("tail", [0, 10, 3 * _ROW_BLOCK])
     def test_solves_anchor_rows_only_one_system_each(self, monkeypatch, tail):
@@ -752,7 +818,7 @@ class TestTailPass:
         s = rng.choice([-1, 1], size=(n, m))
         s[m + 1, :] = 0
         view = SimilarityView(s=s)
-        out = ksh_tail_pass(phi1, view, LIN)
+        out = tail_pass(phi1, view, LIN)
         np.testing.assert_array_equal(out[1], np.full(d, 0.5))
         assert not np.all(out[0] == 0.5)
 
@@ -761,8 +827,23 @@ class TestTailPass:
         phi1 = rng.random((5, 7))
         view = SimilarityView(s=rng.choice([-1, 0, 1], size=(30, 5)))
         np.testing.assert_array_equal(
-            ksh_tail_pass(phi1, view, LIN), ksh_tail_pass(phi1, view, LIN, gain=7.0)
+            tail_pass(phi1, view, LIN), tail_pass(phi1, view, LIN, gain=7.0)
         )
+
+    def test_writes_the_tail_rows_in_place(self):
+        """The tail is phi's own rows past the anchors; the anchor rows are left alone."""
+        rng = np.random.default_rng(43)
+        view = SimilarityView(s=rng.choice([-1, 0, 1], size=(30, 5)).astype(np.int8))
+        phi = np.full((30, 7), np.nan)
+        phi[:5] = rng.random((5, 7))
+        anchors = phi[:5].copy()
+        out = ksh_tail_pass(phi, view, LIN)
+        assert np.shares_memory(out, phi) and out.shape == (25, 7)
+        np.testing.assert_array_equal(phi[5:], out)
+        np.testing.assert_array_equal(phi[:5], anchors)
+        assert not np.isnan(out).any()
+        with pytest.raises(ValueError, match="exactly 30 rows"):
+            ksh_tail_pass(phi[:5], view, LIN)
 
 
 @functools.lru_cache(maxsize=None)
@@ -800,7 +881,7 @@ def assert_tail_matches_rows(phi, s, half_range, atol):
     x = 2.0 * phi - 1.0
     a = _ksh_coupling(x)
     b, scales = ksh_tail_systems(a, x, s[view.m :], half_range, phi.shape[1])
-    out = ksh_tail_pass(phi, view, lin)
+    out = tail_pass(phi, view, lin)
     assert out.shape == b.shape
     for i, row in enumerate(b):
         assert scales[i] == build_scale(a, row, half_range)
@@ -845,7 +926,7 @@ def assert_lfh_tail_matches_rows(phi, s, half_range, atol):
     lin = linearization(half_range)
     x = 2.0 * phi - 1.0
     x_self = np.zeros(phi.shape[1])
-    out = ksh_tail_pass(phi, view, lin, gain=2.0)
+    out = tail_pass(phi, view, lin, gain=2.0)
     assert out.shape == (view.n - view.m, phi.shape[1])
     for i, s_row in enumerate(s[view.m :]):
         sys = _lfh_build(x, s_row.astype(float), x_self, half_range, xi_override=0.0)

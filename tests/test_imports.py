@@ -1,10 +1,16 @@
-"""Every name a program module imports is used.
+"""Checks on the program's source that need no linter.
 
-A name imported but never read is left over from deleted code.  The check
-walks each ``emhash`` module's syntax tree, so it needs no linter: an import
-counts as used when its bound name is read anywhere in the module or listed
-in ``__all__``.  A line marked ``# noqa: F401`` keeps an import on purpose.
-The package ``__init__`` is exempt, since re-exporting is its job.
+Every name a program module imports is used: a name imported but never read
+is left over from deleted code.  The check walks each ``emhash`` module's
+syntax tree: an import counts as used when its bound name is read anywhere
+in the module or listed in ``__all__``.  A line marked ``# noqa: F401`` keeps
+an import on purpose.  The package ``__init__`` is exempt, since re-exporting
+is its job.
+
+No module widens a whole similarity block: similarity entries are checked
+without ``np.isin``, whose table method copies its input to int64, and no
+unsliced block is cast to float.  A row or block of rows (a subscript) may
+be cast.
 """
 
 import ast
@@ -35,6 +41,71 @@ def unused_imports(source: str) -> list[str]:
         ):
             used |= {elt.value for elt in node.value.elts}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+# Names that hold a whole similarity block in the program: the view's ``.s``
+# attribute, and these local names.
+SIMILARITY_NAMES = {"s", "sim_full", "raw"}
+FLOAT_DTYPES = {"float", "float64", "double"}
+
+
+def _is_float(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return node.value in FLOAT_DTYPES
+    return (isinstance(node, ast.Name) and node.id in FLOAT_DTYPES) or (
+        isinstance(node, ast.Attribute) and node.attr in FLOAT_DTYPES
+    )
+
+
+def _is_whole_similarity(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in SIMILARITY_NAMES) or (
+        isinstance(node, ast.Attribute) and node.attr == "s"
+    )
+
+
+def widened_similarity(source: str) -> list[str]:
+    """``np.isin`` calls, and float casts of an unsliced similarity block."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "isin"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, "np.isin"))
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        target = None
+        if node.func.attr == "astype" and node.args and _is_float(node.args[0]):
+            target = node.func.value
+        elif node.func.attr in ("asarray", "array", "asanyarray") and node.args and any(
+            k.arg == "dtype" and _is_float(k.value) for k in node.keywords
+        ):
+            target = node.args[0]
+        if target is not None and _is_whole_similarity(target):
+            found.append((node.lineno, f"float cast of {ast.unparse(target)}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_whole_similarity_widening(path):
+    assert widened_similarity(path.read_text()) == []
+
+
+def test_check_sees_a_widened_similarity():
+    source = (
+        "ok = np.isin(s, (-1, 0, 1)).all()\n"
+        "a = sim.s.astype(float)\n"
+        "b = np.asarray(sim_full, dtype=np.float64)\n"
+        "row = sim.s[i, :m].astype(float)\n"
+        "kept = s.astype(np.int8, copy=False)\n"
+    )
+    assert widened_similarity(source) == [
+        "line 1: np.isin",
+        "line 2: float cast of sim.s",
+        "line 3: float cast of sim_full",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
