@@ -229,16 +229,13 @@ def run_train(cfg: RunConfig) -> int:
         scale = np.ones(feats.shape[1])
 
     lin = mean_field.fit_linearization(cfg["linear_range"])
+    tcfg = TrainConfig(bits=cfg["bits"], sweeps=cfg["sweeps"], seed=cfg["seed"])
     method = cfg["method"]
     train_start = time.perf_counter()
     if method == "em-splh":
         # Refuse oversize inputs before the n-by-n block is allocated.
         check_dense_budget((dataset.n, dataset.n))
         sim = dataio.full_similarity(dataset.labels)
-        tcfg = TrainConfig(
-            bits=cfg["bits"], anchors=1, sweeps=cfg["sweeps"],
-            linear_range=cfg["linear_range"], seed=cfg["seed"],
-        )
         phi = em_splh_train(sim, tcfg, lin)
         print(
             "em-splh: all bit columns are identical; the output carries 1 effective bit",
@@ -249,14 +246,8 @@ def run_train(cfg: RunConfig) -> int:
         if anchors > dataset.n:
             raise CliError(f"anchor count {anchors} exceeds point count {dataset.n}")
         view, order = dataio.sample_similarity_columns(dataset, anchors, cfg["seed"])
-        tcfg = TrainConfig(
-            bits=cfg["bits"], anchors=anchors, sweeps=cfg["sweeps"],
-            linear_range=cfg["linear_range"], seed=cfg["seed"],
-        )
         trainer = em_ksh_train if method == "em-ksh" else em_lfh_train
-        permuted = trainer(view, tcfg, lin)
-        phi = np.empty_like(permuted)
-        phi[order] = permuted
+        phi = trainer(view, tcfg, lin)[np.argsort(order)]
     train_seconds = time.perf_counter() - train_start
 
     codes, thresholds = codec.round_codes(phi)

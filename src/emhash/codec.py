@@ -37,7 +37,7 @@ def round_codes(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if phi.ndim != 2:
         raise ValueError(f"soft codes must be 2-d, got shape {phi.shape}")
     thresholds = phi.mean(axis=0)
-    codes = np.where(phi >= thresholds, 1, -1).astype(np.int8)
+    codes = np.where(phi >= thresholds, np.int8(1), np.int8(-1))
     return codes, thresholds
 
 

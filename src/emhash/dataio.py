@@ -35,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "Dataset",
+    "SimilarityView",
     "MATRIX_MAGIC",
     "CODES_MAGIC",
     "load_feature_matrix",
@@ -64,6 +65,8 @@ MAX_DENSE_ENTRIES = 10**8
 # bounded by the block.
 _ROW_BLOCK = 256
 _CODE_TOKENS = frozenset(("-1", "1"))
+
+_ENTRIES_MESSAGE = "similarity entries must be -1, 0 or +1"
 
 Label = None | int | frozenset
 
@@ -314,8 +317,6 @@ def sample_similarity_columns(dataset: Dataset, m: int, seed: int):
     ``order[k]`` is the original index of the point at position k; the caller
     applies the same order to features and undoes it on the way out.
     """
-    from .energy_models import SimilarityView
-
     if dataset.labels is None:
         raise ValueError("anchor sampling requires labels")
     n = dataset.n
@@ -330,6 +331,36 @@ def sample_similarity_columns(dataset: Dataset, m: int, seed: int):
     ordered_labels = [dataset.labels[k] for k in order]
     block = similarity_block(index_labels(ordered_labels), index_labels(ordered_labels[:m]))
     return SimilarityView(s=block), order
+
+
+@dataclass(frozen=True, eq=False)
+class SimilarityView:
+    """Sampled similarity block, points by anchors, entries in {-1, 0, +1}.
+
+    Column j holds the similarities of every point against anchor j; the
+    anchors occupy the first ``m`` rows, so ``s[j, j] == +1`` for labeled
+    anchors.  A zero entry means the relation is unobserved.  The block is
+    held as int8; an int8 block is kept without a copy.
+    """
+
+    s: np.ndarray
+
+    def __post_init__(self) -> None:
+        s = np.asarray(self.s)
+        if s.ndim != 2:
+            raise ValueError(f"similarity view must be 2-d, got shape {s.shape}")
+        if s.shape[0] < s.shape[1]:
+            raise ValueError("anchor count cannot exceed point count")
+        check_signs(s, _ENTRIES_MESSAGE, zero=True)
+        object.__setattr__(self, "s", s.astype(np.int8, copy=False))
+
+    @property
+    def n(self) -> int:
+        return self.s.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.s.shape[1]
 
 
 def check_signs(values: np.ndarray, message: str, *, zero: bool = False) -> None:

@@ -38,13 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import check_signs
+from .dataio import _ENTRIES_MESSAGE, SimilarityView, check_signs
 from .mean_field import (
     ZERO_TOL,
     LinearizedSigmoid,
     RowSystem,
     build_scale,
-    fit_linearization,
     is_exactly_symmetric,
     make_system,
     renormalize_and_squash,
@@ -55,7 +54,6 @@ from .mean_field import (
 )
 
 __all__ = [
-    "SimilarityView",
     "TrainConfig",
     "SharedEig",
     "ksh_anchor_system",
@@ -82,63 +80,24 @@ MAX_DENSE_POINTS = 5000
 # independent of input and thread count, so peak temporary memory stays bounded.
 _ROW_BLOCK = 256
 
-_ENTRIES_MESSAGE = "similarity entries must be -1, 0 or +1"
-
-
-@dataclass(frozen=True, eq=False)
-class SimilarityView:
-    """Sampled similarity block, points by anchors, entries in {-1, 0, +1}.
-
-    Column j holds the similarities of every point against anchor j; the
-    anchors occupy the first ``m`` rows, so ``s[j, j] == +1`` for labeled
-    anchors.  A zero entry means the relation is unobserved.  The block is
-    held as int8; an int8 block is kept without a copy.
-    """
-
-    s: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.s)
-        if s.ndim != 2:
-            raise ValueError(f"similarity view must be 2-d, got shape {s.shape}")
-        if s.shape[0] < s.shape[1]:
-            raise ValueError("anchor count cannot exceed point count")
-        check_signs(s, _ENTRIES_MESSAGE, zero=True)
-        object.__setattr__(self, "s", s.astype(np.int8, copy=False))
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.s.shape[1]
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs of one training run.
 
-    bits: code length; anchors: sampled similarity columns; sweeps: passes
-    over the anchor rows; linear_range: sigmoid fit half-interval; seed:
-    initialization seed.
+    bits: code length; sweeps: passes over the anchor rows; seed:
+    initialization seed.  The anchor count is the similarity view's and the
+    linearization half-interval the :class:`LinearizedSigmoid`'s.
     """
 
     bits: int = 32
-    anchors: int = 1000
     sweeps: int = 3
-    linear_range: float = 2.0
     seed: int = 42
 
     def __post_init__(self) -> None:
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
-        if self.anchors < 1:
-            raise ValueError(f"anchors must be >= 1, got {self.anchors}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-        if self.linear_range <= 0.0:
-            raise ValueError(f"linear_range must be positive, got {self.linear_range}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,20 +216,8 @@ def batch_solve_shared(
     return slope2 * (((eig.values / denom) * z) @ eig.vectors.T)
 
 
-def _resolve_linearization(cfg: TrainConfig, lin: LinearizedSigmoid | None) -> LinearizedSigmoid:
-    if lin is None:
-        return fit_linearization(cfg.linear_range)
-    if abs(lin.half_range - cfg.linear_range) > 1e-12:
-        raise ValueError(
-            f"linearization half_range {lin.half_range} does not match "
-            f"configured linear_range {cfg.linear_range}"
-        )
-    return lin
-
-
 def ksh_tail_pass(
-    phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid,
-    *, gain: float | None = None,
+    phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid, *, gain: float
 ) -> np.ndarray:
     """Solve every non-anchor row in place, one build, stacked solve and squash per row block.
 
@@ -279,8 +226,8 @@ def ksh_tail_pass(
     overwritten, and that tail ``phi[m:]`` is returned.
     The shared coupling and its eigendecomposition are computed once; each
     block of ``_ROW_BLOCK`` rows gets its linear terms and scales from
-    :func:`ksh_tail_systems` at evidence ``gain`` (default: the code length),
-    so temporaries stay bounded by the block.
+    :func:`ksh_tail_systems` at evidence ``gain``, so temporaries stay
+    bounded by the block.
     Dispatches like :func:`~emhash.mean_field.solve_row_system`: rows without
     evidence stay at 0.5 and a zero shared matrix gives ``sigmoid(b / scale)``.
     """
@@ -288,7 +235,6 @@ def ksh_tail_pass(
     if phi.shape[0] != sim.n:
         raise ValueError(f"soft codes must have exactly {sim.n} rows, got {phi.shape[0]}")
     x = 2.0 * phi[:m] - 1.0
-    gain = x.shape[1] if gain is None else gain
     a = _ksh_coupling(x)
     explicit = np.max(np.abs(a)) < ZERO_TOL
     eig = None if explicit else eigendecompose_shared(a)
@@ -310,7 +256,7 @@ def ksh_tail_pass(
 def _train(
     sim: SimilarityView,
     cfg: TrainConfig,
-    lin: LinearizedSigmoid | None,
+    lin: LinearizedSigmoid,
     sweep,
     tail_gain: float,
 ) -> np.ndarray:
@@ -325,9 +271,6 @@ def _train(
     gets the uninformative 0.5 marginals: the quadratic coupling alone
     carries no supervision.
     """
-    lin = _resolve_linearization(cfg, lin)
-    if cfg.anchors != sim.m:
-        raise ValueError(f"config declares {cfg.anchors} anchors but view has {sim.m}")
     m = sim.m
     phi = np.empty((sim.n, cfg.bits))
     phi[:m] = np.random.default_rng(cfg.seed).random((m, cfg.bits))
@@ -373,9 +316,7 @@ def _lfh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> 
         phi[i] = solve_row_system(lfh_system(phi, sim, i, lin.half_range), lin)
 
 
-def em_ksh_train(
-    sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid | None = None
-) -> np.ndarray:
+def em_ksh_train(sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid) -> np.ndarray:
     """Learn soft codes for the squared-fit energy.
 
     Sequential anchor sweeps, each over one Gram of the anchor codes kept up
@@ -425,24 +366,21 @@ def check_dense_budget(shape: tuple) -> None:
         )
 
 
-def em_splh_train(
-    sim_full: np.ndarray,
-    cfg: TrainConfig,
-    lin: LinearizedSigmoid | None = None,
-) -> np.ndarray:
+def em_splh_train(sim_full: np.ndarray, cfg: TrainConfig, lin: LinearizedSigmoid) -> np.ndarray:
     """Learn soft codes for the correlation energy in one exact solve.
 
     The system is homogeneous by construction, so the homogeneous eigenvector
     path (two extremal eigenpairs by Lanczos), re-normalized and squashed,
     yields the single shared bit column directly; no initialization is
-    involved and every bit column is a copy of it.
+    involved and every bit column is a copy of it.  Beside the similarity it
+    reads only ``cfg.bits`` and ``lin``; ``cfg.sweeps`` and ``cfg.seed`` play
+    no part.
     """
-    lin = _resolve_linearization(cfg, lin)
     raw = np.asarray(sim_full)
     check_dense_budget(raw.shape)
     if not raw.any():
         raise ValueError("all-zero similarity admits no solution")
-    sys = splh_system(raw, cfg.linear_range)
+    sys = splh_system(raw, lin.half_range)
     column = renormalize_and_squash(solve_homogeneous(sys, lin), sys.b, sys.scale, lin.half_range)
     return np.repeat(column[:, None], cfg.bits, axis=1)
 
@@ -506,9 +444,7 @@ def lfh_system(
     return _lfh_build(others, s_row, x[anchor], half_range, xi_override)
 
 
-def em_lfh_train(
-    sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid | None = None
-) -> np.ndarray:
+def em_lfh_train(sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid) -> np.ndarray:
     """Learn soft codes for the logistic energy.
 
     Same schedule as :func:`em_ksh_train` over :func:`lfh_system`.  Tail

@@ -20,7 +20,6 @@ __all__ = [
     "RankingResult",
     "hamming_distances",
     "hamming_rank",
-    "average_precision",
     "mean_average_precision",
     "metrics_lines",
     "write_metrics_json",
@@ -77,23 +76,10 @@ def hamming_rank(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
     return np.argsort(hamming_distances(queries, database), axis=-1, kind="stable")
 
 
-def average_precision(ranking: np.ndarray, relevant: np.ndarray) -> float:
-    """Average precision of a ranking against boolean relevance flags.
-
-    Mean over the relevant items' ranks r of (relevant found in the top r)
-    divided by r.  At least one item must be relevant.
-    """
-    ranking = np.asarray(ranking)
-    relevant = np.asarray(relevant, dtype=bool)
-    hits = relevant[ranking]
-    if not hits.any():
-        raise ValueError("average precision needs at least one relevant item")
-    return _ap_from_hits(hits)
-
-
 def _ap_from_hits(hits: np.ndarray) -> float:
-    # Relevance flags in ranking order, at least one set: the rank of a hit
-    # is its index plus one.
+    # Average precision of relevance flags in ranking order, at least one
+    # set: the mean over the hits' ranks r of (hits in the top r) / r, where
+    # the rank of a hit is its index plus one.
     cum = np.cumsum(hits)
     ranks = np.flatnonzero(hits) + 1
     return float(np.mean(cum[ranks - 1] / ranks))

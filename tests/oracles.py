@@ -10,6 +10,8 @@ dense eigensolver, which the two-eigenpair Lanczos path must reproduce.
 ``check_signs_isin`` is the entry check that ``dataio.check_signs`` makes
 without a whole-array copy, and ``load_feature_csv_per_field`` the feature
 CSV reader that the block parser of ``dataio.load_feature_matrix`` reproduces.
+``average_precision`` is the rank-by-rank definition of one query's average
+precision, which ``evaluation.mean_average_precision`` computes per query.
 The rest cross-checks the closed-form training path: a damped iteration of
 the exact consistency equations, and exhaustive minimization of an energy
 over all code matrices of a tiny instance.
@@ -52,6 +54,23 @@ def text_codes_per_token(codes: np.ndarray) -> str:
     """The text code layout, one ``str(int(v))`` per entry, rows joined by newlines."""
     lines = [" ".join(str(int(v)) for v in row) for row in codes]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def average_precision(ranking: np.ndarray, relevant: np.ndarray) -> float:
+    """Average precision of a ranking against boolean relevance flags.
+
+    Walks the ranking from the top; at the rank r of each relevant item it
+    records (relevant items found in the top r) / r, and returns the mean of
+    those precisions.  At least one item must be relevant.  numpy takes the
+    mean, so it sums the same values in the same order as the program does.
+    """
+    precisions = []
+    for rank, item in enumerate(ranking, start=1):
+        if relevant[item]:
+            precisions.append((len(precisions) + 1) / rank)
+    if not precisions:
+        raise ValueError("average precision needs at least one relevant item")
+    return float(np.mean(precisions))
 
 
 def check_signs_isin(values: np.ndarray, message: str, zero: bool = False) -> None:
@@ -106,7 +125,7 @@ def ksh_train_rebuilding_rows(
         for i in range(m):
             phi[i] = solve_row_system(ksh_anchor_system(phi[:m], sim, i, lin.half_range), lin)
     if sim.n > m:
-        ksh_tail_pass(phi, sim, lin)
+        ksh_tail_pass(phi, sim, lin, gain=float(cfg.bits))
     return phi
 
 

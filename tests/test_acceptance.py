@@ -72,7 +72,7 @@ def cluster_map(seed, clusters, bits, anchors, sweeps=3):
     dataset = synthesize_clusters(clusters, 100, bits, seed=seed)
     view, order = sample_similarity_columns(dataset, anchors, seed=seed)
     labels = [dataset.labels[k] for k in order]
-    cfg = TrainConfig(bits=bits, anchors=anchors, sweeps=sweeps, seed=seed)
+    cfg = TrainConfig(bits=bits, sweeps=sweeps, seed=seed)
     phi = em_ksh_train(view, cfg, LIN)
     codes, _ = round_codes(phi)
     result = mean_average_precision(codes, labels, codes, labels, exclude_self=True)
@@ -160,7 +160,7 @@ def test_criterion_05_single_bit_equivalence():
         n = int(rng.integers(8, 65))
         labels = two_class_labels(rng, n)
         s = full_similarity(labels)
-        cfg = TrainConfig(bits=1, anchors=n, sweeps=3, seed=seed)
+        cfg = TrainConfig(bits=1, sweeps=3, seed=seed)
         ksh_codes, _ = round_codes(em_ksh_train(SimilarityView(s=s), cfg, LIN))
         splh_codes, _ = round_codes(em_splh_train(s, cfg, LIN))
         if not (
@@ -241,7 +241,7 @@ def test_criterion_08_energy_dominance():
         raw = rng.choice([-1, 1], size=(4, 4))
         s = np.triu(raw) + np.triu(raw, 1).T
         np.fill_diagonal(s, 1)
-        cfg = TrainConfig(bits=2, anchors=4, sweeps=3, seed=inst)
+        cfg = TrainConfig(bits=2, sweeps=3, seed=inst)
         codes, _ = round_codes(em_ksh_train(SimilarityView(s=s), cfg, LIN))
         trained_energy = ksh_energy(codes, s)
         random_energies = [
@@ -268,7 +268,7 @@ def test_criterion_09_complexity_trend():
     times = {}
     for n in (2000, 4000):
         view = bench_view(n, 500)
-        cfg = TrainConfig(bits=16, anchors=500, sweeps=3, seed=42)
+        cfg = TrainConfig(bits=16, sweeps=3, seed=42)
         start = time.perf_counter()
         em_ksh_train(view, cfg, LIN)
         times[n] = time.perf_counter() - start
@@ -280,7 +280,7 @@ def test_criterion_09_complexity_trend():
         phi = np.empty((3000, bits))
         phi[:500] = np.random.default_rng([7, bits]).random((500, bits))
         tracemalloc.start()
-        ksh_tail_pass(phi, view, LIN)
+        ksh_tail_pass(phi, view, LIN, gain=float(bits))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         peaks[bits] = peak

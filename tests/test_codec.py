@@ -154,7 +154,7 @@ class TestEncode:
         from emhash.dataio import Dataset
 
         view, order = sample_similarity_columns(Dataset(train, train_labels), 30, seed=1)
-        phi_perm = em_ksh_train(view, TrainConfig(bits=8, anchors=30, sweeps=3, seed=1), lin)
+        phi_perm = em_ksh_train(view, TrainConfig(bits=8, sweeps=3, seed=1), lin)
         phi = np.empty_like(phi_perm)
         phi[order] = phi_perm
         feats, offset, scale = standardize_features(train)

@@ -47,11 +47,11 @@ from oracles import homogeneous_dense, ksh_train_rebuilding_rows
 LIN = fit_linearization(2.0)
 
 
-def tail_pass(phi_anchors, view, lin, **kwargs):
+def tail_pass(phi_anchors, view, lin, *, gain):
     """ksh_tail_pass on soft codes whose tail rows start out as NaN."""
     phi = np.full((view.n, phi_anchors.shape[1]), np.nan)
     phi[: view.m] = phi_anchors
-    return ksh_tail_pass(phi, view, lin, **kwargs)
+    return ksh_tail_pass(phi, view, lin, gain=gain)
 
 
 def random_full_similarity(rng, n):
@@ -252,14 +252,14 @@ class TestEmKshTrain:
         rng = np.random.default_rng(7)
         s, _ = two_class_similarity(rng, 30)
         view = SimilarityView(s=s[:, :12])
-        cfg = TrainConfig(bits=4, anchors=12, sweeps=2, seed=9)
+        cfg = TrainConfig(bits=4, sweeps=2, seed=9)
         first = em_ksh_train(view, cfg, LIN)
         second = em_ksh_train(view, cfg, LIN)
         np.testing.assert_array_equal(first, second)
 
     def test_all_zero_similarity_gives_uniform_marginals(self):
         view = SimilarityView(s=np.zeros((10, 4), dtype=np.int8))
-        cfg = TrainConfig(bits=3, anchors=4, sweeps=2, seed=0)
+        cfg = TrainConfig(bits=3, sweeps=2, seed=0)
         phi = em_ksh_train(view, cfg, LIN)
         np.testing.assert_array_equal(phi, np.full((10, 3), 0.5))
 
@@ -271,16 +271,11 @@ class TestEmKshTrain:
         labels = [i % 2 for i in range(60)]
         s = np.where(np.equal.outer(labels, labels), 1, -1).astype(np.int8)
         view = SimilarityView(s=s[:, :30])
-        cfg = TrainConfig(bits=8, anchors=30, sweeps=3, seed=2)
+        cfg = TrainConfig(bits=8, sweeps=3, seed=2)
         phi = em_ksh_train(view, cfg, LIN)
         codes, _ = round_codes(phi)
         result = mean_average_precision(codes, labels, codes, labels, exclude_self=True)
         assert result.mean_ap == pytest.approx(1.0, abs=1e-9)
-
-    def test_anchor_count_must_match_view(self):
-        view = SimilarityView(s=np.ones((6, 3), dtype=np.int8))
-        with pytest.raises(ValueError, match="anchors"):
-            em_ksh_train(view, TrainConfig(bits=2, anchors=4, sweeps=1, seed=0), LIN)
 
     @pytest.mark.parametrize("tail", [0, 10])
     def test_anchor_rows_reuse_one_gram_per_sweep(self, monkeypatch, tail):
@@ -302,7 +297,7 @@ class TestEmKshTrain:
         m = 12
         labels = rng.integers(0, 3, size=m + tail)
         s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
-        cfg = TrainConfig(bits=5, anchors=m, sweeps=3, seed=2)
+        cfg = TrainConfig(bits=5, sweeps=3, seed=2)
         em_ksh_train(SimilarityView(s=s), cfg, LIN)
         assert calls["anchor_system"] == 0
         assert calls["coupling"] <= 1  # the tail's shared coupling, if there is a tail
@@ -395,7 +390,7 @@ class TestKshSweepMatchesRowBuild:
         labels = rng.integers(0, 12, size=n)
         s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
         view = SimilarityView(s=s)
-        cfg = TrainConfig(bits=bits, anchors=m, sweeps=2, seed=1)
+        cfg = TrainConfig(bits=bits, sweeps=2, seed=1)
         phi = em_ksh_train(view, cfg, LIN)
         expected = ksh_train_rebuilding_rows(view, cfg, LIN)
         assert np.max(np.abs(phi - expected)) <= 1e-12
@@ -421,7 +416,7 @@ class TestSplh:
         top = vectors[:, -1]
         assert np.allclose(top[:5], top[0]) and np.allclose(top[5:], top[5])
         assert np.sign(top[0]) != np.sign(top[5])
-        cfg = TrainConfig(bits=4, anchors=1, sweeps=1, seed=0)
+        cfg = TrainConfig(bits=4, sweeps=1, seed=0)
         phi = em_splh_train(s, cfg, LIN)
         from emhash.codec import round_codes
 
@@ -433,22 +428,22 @@ class TestSplh:
         s = random_full_similarity(np.random.default_rng(37), 6)
         sys = splh_system(s, 2.0)
         expected = renormalize_and_squash(solve_homogeneous(sys, LIN), sys.b, sys.scale, 2.0)
-        phi = em_splh_train(s, TrainConfig(bits=3, anchors=1, sweeps=1, seed=0), LIN)
+        phi = em_splh_train(s, TrainConfig(bits=3, sweeps=1, seed=0), LIN)
         for k in range(3):
             np.testing.assert_array_equal(phi[:, k], expected)
 
     def test_all_bit_columns_identical(self):
         rng = np.random.default_rng(12)
         s = random_full_similarity(rng, 8)
-        phi = em_splh_train(s, TrainConfig(bits=5, anchors=1, sweeps=1, seed=3), LIN)
+        phi = em_splh_train(s, TrainConfig(bits=5, sweeps=1, seed=3), LIN)
         for k in range(1, 5):
             np.testing.assert_array_equal(phi[:, k], phi[:, 0])
 
     def test_independent_of_seed(self):
         rng = np.random.default_rng(13)
         s = random_full_similarity(rng, 7)
-        a = em_splh_train(s, TrainConfig(bits=2, anchors=1, sweeps=1, seed=0), LIN)
-        b = em_splh_train(s, TrainConfig(bits=2, anchors=1, sweeps=1, seed=999), LIN)
+        a = em_splh_train(s, TrainConfig(bits=2, sweeps=1, seed=0), LIN)
+        b = em_splh_train(s, TrainConfig(bits=2, sweeps=1, seed=999), LIN)
         np.testing.assert_array_equal(a, b)
 
     def test_single_bit_matches_enumeration_oracle(self):
@@ -459,7 +454,7 @@ class TestSplh:
         for n in (3, 4):
             for _ in range(5):
                 s, _ = two_class_similarity(rng, n)
-                phi = em_splh_train(s, TrainConfig(bits=1, anchors=1, sweeps=1, seed=0), LIN)
+                phi = em_splh_train(s, TrainConfig(bits=1, sweeps=1, seed=0), LIN)
                 codes, _ = round_codes(phi)
                 best, best_energy = None, np.inf
                 for key in range(2**n):
@@ -471,12 +466,12 @@ class TestSplh:
 
     def test_rejects_zero_similarity(self):
         with pytest.raises(ValueError):
-            em_splh_train(np.zeros((4, 4)), TrainConfig(bits=2, anchors=1, sweeps=1, seed=0), LIN)
+            em_splh_train(np.zeros((4, 4)), TrainConfig(bits=2, sweeps=1, seed=0), LIN)
 
     def test_dense_solve_size_guard(self):
         s = np.ones((5001, 5001), dtype=np.int8)
         with pytest.raises(ValueError, match="at most"):
-            em_splh_train(s, TrainConfig(bits=1, anchors=1, sweeps=1, seed=0), LIN)
+            em_splh_train(s, TrainConfig(bits=1, sweeps=1, seed=0), LIN)
 
 
 # Tolerances of the Lanczos path against the dense oracle, fixed before
@@ -532,7 +527,7 @@ class TestSplhLanczos:
         """n = 1500 points in 10 classes, 32 bits."""
         labels = [int(c) for c in np.random.default_rng(1).integers(0, 10, 1500)]
         sim = full_similarity(labels)
-        codes, _ = round_codes(em_splh_train(sim, TrainConfig(bits=32, anchors=1, sweeps=1), LIN))
+        codes, _ = round_codes(em_splh_train(sim, TrainConfig(bits=32, sweeps=1), LIN))
         sys = splh_system(sim, 2.0)
         _, vectors, chosen = homogeneous_dense(sys, LIN)
         column = renormalize_and_squash(vectors[:, chosen], sys.b, sys.scale, 2.0)
@@ -551,7 +546,7 @@ class TestSplhLanczos:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         labels = [int(c) for c in np.random.default_rng(2).integers(0, 5, 200)]
         sim = full_similarity(labels)
-        em_splh_train(sim, TrainConfig(bits=4, anchors=1, sweeps=1), LIN)
+        em_splh_train(sim, TrainConfig(bits=4, sweeps=1), LIN)
         assert calls == []
         homogeneous_dense(splh_system(sim, 2.0), LIN)  # the counter does see a dense solve
         assert calls == [1]
@@ -559,7 +554,7 @@ class TestSplhLanczos:
     def test_int8_input_matches_float_input(self):
         labels = [int(c) for c in np.random.default_rng(3).integers(0, 4, 50)]
         sim = full_similarity(labels)
-        cfg = TrainConfig(bits=2, anchors=1, sweeps=1)
+        cfg = TrainConfig(bits=2, sweeps=1)
         np.testing.assert_array_equal(
             em_splh_train(sim, cfg, LIN), em_splh_train(sim.astype(float), cfg, LIN)
         )
@@ -632,7 +627,7 @@ class TestInt8Blocks:
         """The Lanczos solve multiplies the int8 matrix itself: no n-by-n float64."""
         labels = [int(c) for c in np.random.default_rng(10).integers(0, 10, 1500)]
         sim = full_similarity(labels)
-        cfg = TrainConfig(bits=32, anchors=1, sweeps=1)
+        cfg = TrainConfig(bits=32, sweeps=1)
         phi, peak = traced_peak(em_splh_train, sim, cfg, LIN)
         assert len(set(map(tuple, round_codes(phi)[0]))) > 1
         assert peak <= 4 * 2**20
@@ -691,7 +686,7 @@ class TestLfh:
         labels = [i % 3 for i in range(45)]
         s = np.where(np.equal.outer(labels, labels), 1, -1).astype(np.int8)
         view = SimilarityView(s=s[:, :18])
-        cfg = TrainConfig(bits=8, anchors=18, sweeps=3, seed=4)
+        cfg = TrainConfig(bits=8, sweeps=3, seed=4)
         phi = em_lfh_train(view, cfg, LIN)
         np.testing.assert_array_equal(phi, em_lfh_train(view, cfg, LIN))
         codes, _ = round_codes(phi)
@@ -704,7 +699,7 @@ class TestLfh:
         labels = rng.integers(0, 4, size=80)
         s = np.where(labels[:, None] == labels[None, :20], 1, -1).astype(np.int8)
         view = SimilarityView(s=s)
-        phi = em_lfh_train(view, TrainConfig(bits=6, anchors=20, sweeps=2, seed=1), LIN)
+        phi = em_lfh_train(view, TrainConfig(bits=6, sweeps=2, seed=1), LIN)
         np.testing.assert_array_equal(phi[20:], tail_pass(phi[:20], view, LIN, gain=2.0))
 
     @pytest.mark.parametrize("tail", [0, 10, 3 * _ROW_BLOCK])
@@ -721,7 +716,7 @@ class TestLfh:
         m = 12
         labels = rng.integers(0, 3, size=m + tail)
         s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
-        cfg = TrainConfig(bits=5, anchors=m, sweeps=3, seed=2)
+        cfg = TrainConfig(bits=5, sweeps=3, seed=2)
         em_lfh_train(SimilarityView(s=s), cfg, LIN)
         assert len(calls) == cfg.sweeps * m
 
@@ -789,7 +784,7 @@ class TestSingleBitReduction:
             n = int(rng.integers(8, 33))
             s, _ = two_class_similarity(rng, n)
             view = SimilarityView(s=s)
-            cfg = TrainConfig(bits=1, anchors=n, sweeps=3, seed=seed)
+            cfg = TrainConfig(bits=1, sweeps=3, seed=seed)
             ksh_codes, _ = round_codes(em_ksh_train(view, cfg, LIN))
             splh_codes, _ = round_codes(em_splh_train(s, cfg, LIN))
             assert np.array_equal(ksh_codes, splh_codes) or np.array_equal(
@@ -818,17 +813,16 @@ class TestTailPass:
         s = rng.choice([-1, 1], size=(n, m))
         s[m + 1, :] = 0
         view = SimilarityView(s=s)
-        out = tail_pass(phi1, view, LIN)
+        out = tail_pass(phi1, view, LIN, gain=float(d))
         np.testing.assert_array_equal(out[1], np.full(d, 0.5))
         assert not np.all(out[0] == 0.5)
 
     def test_default_gain_is_the_code_length(self):
+        """Past the anchors, em-ksh is the shared tail at gain = code length."""
         rng = np.random.default_rng(41)
-        phi1 = rng.random((5, 7))
         view = SimilarityView(s=rng.choice([-1, 0, 1], size=(30, 5)))
-        np.testing.assert_array_equal(
-            tail_pass(phi1, view, LIN), tail_pass(phi1, view, LIN, gain=7.0)
-        )
+        phi = em_ksh_train(view, TrainConfig(bits=7, sweeps=2, seed=1), LIN)
+        np.testing.assert_array_equal(phi[5:], tail_pass(phi[:5], view, LIN, gain=7.0))
 
     def test_writes_the_tail_rows_in_place(self):
         """The tail is phi's own rows past the anchors; the anchor rows are left alone."""
@@ -837,13 +831,13 @@ class TestTailPass:
         phi = np.full((30, 7), np.nan)
         phi[:5] = rng.random((5, 7))
         anchors = phi[:5].copy()
-        out = ksh_tail_pass(phi, view, LIN)
+        out = ksh_tail_pass(phi, view, LIN, gain=7.0)
         assert np.shares_memory(out, phi) and out.shape == (25, 7)
         np.testing.assert_array_equal(phi[5:], out)
         np.testing.assert_array_equal(phi[:5], anchors)
         assert not np.isnan(out).any()
         with pytest.raises(ValueError, match="exactly 30 rows"):
-            ksh_tail_pass(phi[:5], view, LIN)
+            ksh_tail_pass(phi[:5], view, LIN, gain=7.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -881,7 +875,7 @@ def assert_tail_matches_rows(phi, s, half_range, atol):
     x = 2.0 * phi - 1.0
     a = _ksh_coupling(x)
     b, scales = ksh_tail_systems(a, x, s[view.m :], half_range, phi.shape[1])
-    out = tail_pass(phi, view, lin)
+    out = tail_pass(phi, view, lin, gain=phi.shape[1])
     assert out.shape == b.shape
     for i, row in enumerate(b):
         assert scales[i] == build_scale(a, row, half_range)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from emhash.energy_models import SimilarityView, TrainConfig, em_ksh_train, splh_energy
 from emhash.evaluation import (
-    average_precision,
     hamming_distances,
     hamming_rank,
     RELEVANCE_BLOCK,
@@ -20,6 +19,7 @@ from emhash.evaluation import (
 )
 from emhash.mean_field import fit_linearization, sigmoid
 from oracles import (
+    average_precision,
     brute_force_min_energy,
     fixed_point_oracle,
     ksh_row_consistency,
@@ -306,7 +306,7 @@ class TestFixedPointOracle:
         """The oracle settles on block-separating signs for block similarity."""
         labels = [0] * 6 + [1] * 6
         s = np.where(np.equal.outer(labels, labels), 1, -1)
-        cfg = TrainConfig(bits=1, anchors=1, sweeps=1, seed=0)
+        cfg = TrainConfig(bits=1, sweeps=1, seed=0)
         result = fixed_point_oracle(splh_row_consistency, s, cfg)
         assert result.converged
         signs = np.where(result.phi[:, 0] >= 0.5, 1, -1)
@@ -323,7 +323,7 @@ class TestFixedPointOracle:
     def test_undamped_first_row_is_direct_substitution(self):
         rng = np.random.default_rng(6)
         s = np.array([[1, -1], [-1, 1]])
-        cfg = TrainConfig(bits=2, anchors=1, sweeps=1, seed=7)
+        cfg = TrainConfig(bits=2, sweeps=1, seed=7)
         phi0 = np.random.default_rng(7).random((2, 2))
         expected_row0 = sigmoid(ksh_row_consistency(phi0, s, 0))
         result = fixed_point_oracle(
@@ -341,7 +341,7 @@ class TestFixedPointOracle:
             labels = rng.integers(0, 2, size=n)
             labels[0], labels[1] = 0, 1
             s = np.where(labels[:, None] == labels[None, :], 1, -1).astype(np.int8)
-            cfg = TrainConfig(bits=1, anchors=n, sweeps=3, seed=seed)
+            cfg = TrainConfig(bits=1, sweeps=3, seed=seed)
             trained, _ = round_codes(em_ksh_train(SimilarityView(s=s), cfg, LIN))
             result = fixed_point_oracle(ksh_row_consistency, s, cfg, max_iters=500)
             assert result.converged
@@ -352,13 +352,13 @@ class TestFixedPointOracle:
 
     def test_non_convergence_is_reported_not_raised(self):
         s = np.array([[1, -1], [-1, 1]])
-        cfg = TrainConfig(bits=2, anchors=1, sweeps=1, seed=0)
+        cfg = TrainConfig(bits=2, sweeps=1, seed=0)
         result = fixed_point_oracle(ksh_row_consistency, s, cfg, max_iters=1, damping=0.1)
         assert not result.converged
         assert result.iterations == 1
 
     def test_size_guard(self):
-        cfg = TrainConfig(bits=1, anchors=1, sweeps=1, seed=0)
+        cfg = TrainConfig(bits=1, sweeps=1, seed=0)
         with pytest.raises(ValueError, match="at most"):
             fixed_point_oracle(splh_row_consistency, np.ones((2001, 2001)), cfg)
 
@@ -389,7 +389,7 @@ class TestBruteForceMinEnergy:
             raw = rng.choice([-1, 1], size=(4, 4))
             s = np.triu(raw) + np.triu(raw, 1).T
             np.fill_diagonal(s, 1)
-            cfg = TrainConfig(bits=2, anchors=4, sweeps=3, seed=seed)
+            cfg = TrainConfig(bits=2, sweeps=3, seed=seed)
             trained, _ = round_codes(em_ksh_train(SimilarityView(s=s), cfg, LIN))
             _, optimum = brute_force_min_energy(ksh_energy, s, 2)
             assert ksh_energy(trained, s) >= optimum - 1e-9

@@ -7,6 +7,10 @@ in the module or listed in ``__all__``.  A line marked ``# noqa: F401`` keeps
 an import on purpose.  The package ``__init__`` is exempt, since re-exporting
 is its job.
 
+Every import sits at module level, so the import graph is what the module
+heads say: an import inside a function hides a cycle until that function
+runs.
+
 No module widens a whole similarity block: similarity entries are checked
 without ``np.isin``, whose table method copies its input to int64, and no
 unsliced block is cast to float.  A row or block of rows (a subscript) may
@@ -20,6 +24,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "emhash"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -117,3 +122,34 @@ def test_check_sees_a_leftover_import():
     source = "import tracemalloc\nimport time\nfrom .mean_field import sigmoid\ntime.sleep(0)\n"
     assert unused_imports(source) == ["line 1: tracemalloc", "line 3: sigmoid"]
     assert unused_imports("import tracemalloc  # noqa: F401\n") == []
+
+
+def nested_imports(source: str) -> list[str]:
+    """Imports that are not statements of the module body itself."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_check_sees_a_nested_import():
+    source = (
+        "import numpy as np\n"
+        "def f():\n"
+        "    from .energy_models import SimilarityView\n"
+        "    return SimilarityView\n"
+        "class C:\n"
+        "    import json\n"
+    )
+    assert nested_imports(source) == [
+        "line 3: from .energy_models import SimilarityView",
+        "line 6: import json",
+    ]
