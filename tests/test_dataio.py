@@ -144,7 +144,8 @@ def csv_files(draw):
         rows.append(fields + [draw(VALID_LABELS)] if labeled else fields)
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        kind = draw(st.sampled_from(["token", "drop", "extra"]))
+        # A row picked twice may have had its last field dropped already.
+        kind = draw(st.sampled_from(["token", "drop", "extra"] if row else ["extra"]))
         if kind == "token":
             row[draw(st.integers(0, len(row) - 1))] = draw(BAD_TOKENS)
         elif kind == "drop":
