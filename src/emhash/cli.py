@@ -67,12 +67,12 @@ _OPTS: dict[str, list[_Opt]] = {
         _Opt("features_format", str, "csv", "feature file layout", _FEATURE_FORMATS),
         _Opt("labels", str, "", "separate label file (otherwise the CSV label column is used)"),
         _Opt("method", str, "em-ksh", "training energy", _METHODS),
-        _Opt("bits", int, 32, "code length"),
+        _Opt("bits", int, TrainConfig.bits, "code length"),
         _Opt("anchors", int, 1000, "sampled similarity columns"),
-        _Opt("sweeps", int, 3, "passes over the anchor rows"),
+        _Opt("sweeps", int, TrainConfig.sweeps, "passes over the anchor rows"),
         _Opt("linear_range", float, 2.0, "sigmoid linearization half-interval"),
         _Opt("ridge", float, 1.0, "out-of-sample ridge strength"),
-        _Opt("seed", int, 42, "initialization and sampling seed"),
+        _Opt("seed", int, TrainConfig.seed, "initialization and sampling seed"),
         _Opt(
             "threads", int, 1,
             "accepted so existing manifests keep loading; "
@@ -223,6 +223,8 @@ def run_train(cfg: RunConfig) -> int:
 
     if cfg["standardize"]:
         feats, offset, scale = dataio.standardize_features(dataset.features)
+        # Nothing reads the raw features again; let them go before training.
+        dataset = dataio.Dataset(features=feats, labels=dataset.labels)
     else:
         feats = dataset.features
         offset = np.zeros(feats.shape[1])

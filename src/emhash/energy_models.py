@@ -398,16 +398,9 @@ def variational_weight(xi: np.ndarray | float) -> np.ndarray:
 
 
 def _lfh_build(
-    x_others: np.ndarray,
-    s_row: np.ndarray,
-    x_self: np.ndarray,
-    half_range: float,
-    xi_override: float | None,
+    x_others: np.ndarray, s_row: np.ndarray, xi: np.ndarray, half_range: float
 ) -> RowSystem:
-    if xi_override is None:
-        xi = np.abs(x_others @ x_self)
-    else:
-        xi = np.full(x_others.shape[0], float(xi_override))
+    # The logistic system of one row against ``x_others``, pair j pivoted at xi[j].
     w = 4.0 * variational_weight(xi)
     a = _mirror_upper((x_others * w[:, None]).T @ x_others)
     np.fill_diagonal(a, 0.0)
@@ -420,17 +413,13 @@ def lfh_system(
     sim: SimilarityView,
     anchor: int,
     half_range: float,
-    xi_override: float | None = None,
 ) -> RowSystem:
     """Consistency system of one anchor row under the logistic energy.
 
     Shaped like the squared-fit system but with two differences: each
     pair's quadratic contribution is weighted by ``4 * variational_weight``
     at the pivot ``|expected-code inner product|`` for that pair, and the
-    linear term carries no code-length factor.  ``xi_override`` pins every
-    pivot to a fixed value (used to exercise the squared-fit degeneracy,
-    where pivots locked at the code length reduce this system to the
-    squared-fit one divided by the code length).
+    linear term carries no code-length factor.
     """
     m = sim.m
     if not 0 <= anchor < m:
@@ -441,7 +430,7 @@ def lfh_system(
     x = 2.0 * phi[:m] - 1.0
     others = np.delete(x, anchor, axis=0)
     s_row = np.delete(sim.s[anchor, :m].astype(float), anchor)
-    return _lfh_build(others, s_row, x[anchor], half_range, xi_override)
+    return _lfh_build(others, s_row, np.abs(others @ x[anchor]), half_range)
 
 
 def em_lfh_train(sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid) -> np.ndarray:

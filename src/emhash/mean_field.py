@@ -13,8 +13,9 @@ generic machinery: fitting the linearization, building the scale, the affine
 through the true sigmoid.  The fit's two integrals use a fixed 24-node
 Gauss-Legendre rule; its error on the analytic integrands is far below float64
 rounding.  The homogeneous path needs only the two extremal eigenpairs of its
-matrix, which a Lanczos solve finds without forming the whole spectrum, so the
-whole module needs numpy only.
+matrix, which a Lanczos solve finds without forming the whole spectrum: its
+n-length products are ``einsum`` and its k-by-k tridiagonal goes to LAPACK
+``eigh``, so the whole module needs numpy only.
 
 Everything here is pure: no function mutates its inputs, and
 :class:`LinearizedSigmoid` / :class:`RowSystem` are immutable, so independent
@@ -298,69 +299,6 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-def _pivots(shifted: list, beta2: list, pivmin: float) -> list:
-    """Pivots of the top-down LDL^T factorization of a shifted tridiagonal.
-
-    ``shifted`` holds ``alpha - x``, ``beta2`` the squared off-diagonal; a
-    pivot smaller than ``pivmin`` in magnitude is replaced by ``-pivmin``.
-    """
-    d = [shifted[0] if abs(shifted[0]) >= pivmin else -pivmin]
-    for s, b2 in zip(shifted[1:], beta2):
-        p = s - b2 / d[-1]
-        d.append(p if abs(p) >= pivmin else -pivmin)
-    return d
-
-
-def _tridiagonal_extremal(alpha: list, beta: list) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenpairs of an unreduced symmetric tridiagonal.
-
-    Each eigenvalue is bisected inside the Gershgorin bounds on its Sturm
-    count (the negative pivots at a shift count the eigenvalues below it),
-    down to float64 resolution.  Each eigenvector comes from one twisted
-    factorization at its eigenvalue, twisted where ``|gamma|`` is least: one
-    step of inverse iteration from the unit vector that the eigenvector
-    weights most.  At an extremal eigenvalue every pivot of either one-sided
-    factorization but its last has one sign, so the recurrences are stable.
-    Returns
-    ``(values, vectors)`` with ``values = [min, max]`` and unit columns.
-    """
-    k = len(alpha)
-    if k == 1:
-        return np.array([alpha[0], alpha[0]]), np.ones((1, 2))
-    eps = float(np.finfo(float).eps)
-    beta2 = [b * b for b in beta]
-    pivmin = float(np.finfo(float).tiny) * max(1.0, max(beta2))
-    radius = [x + y for x, y in zip([*beta, 0.0], [0.0, *beta])]
-    lo = min(a - r for a, r in zip(alpha, radius))
-    hi = max(a + r for a, r in zip(alpha, radius))
-    floor = eps * max(abs(lo), abs(hi))
-    lo, hi = lo - k * floor, hi + k * floor
-    values = []
-    for target in (1, k):
-        # The Sturm count reaches the target at ``high``, not at ``low``.
-        low, high = lo, hi
-        while high - low > max(2.0 * eps * max(abs(low), abs(high)), floor):
-            mid = 0.5 * (low + high)
-            below = sum(p < 0.0 for p in _pivots([a - mid for a in alpha], beta2, pivmin))
-            low, high = (low, mid) if below >= target else (mid, high)
-        values.append(0.5 * (low + high))
-    vectors = np.zeros((k, 2))
-    for j, theta in enumerate(values):
-        shifted = [a - theta for a in alpha]
-        down = _pivots(shifted, beta2, pivmin)
-        up = _pivots(shifted[::-1], beta2[::-1], pivmin)[::-1]
-        twist = int(np.argmin(np.abs(np.add(down, up) - shifted)))
-        z = [0.0] * k
-        z[twist] = 1.0
-        for i in range(twist - 1, -1, -1):
-            z[i] = -beta[i] * z[i + 1] / down[i]
-        for i in range(twist + 1, k):
-            z[i] = -beta[i - 1] * z[i - 1] / up[i]
-        vectors[:, j] = z
-    vectors /= np.sqrt(np.einsum("kj,kj->j", vectors, vectors))
-    return np.array(values), vectors
-
-
 def extremal_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest eigenpairs of a symmetric matrix, by Lanczos.
 
@@ -371,14 +309,17 @@ def extremal_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one row at a time, so memory is O(n * steps).  The solve stops once both
     extremal Ritz residuals are at most ``LANCZOS_TOL`` times the infinity
     norm of ``a``, on breakdown, or after n steps, where the Krylov space is
-    the whole space and the Ritz pairs are exact.
+    the whole space and the Ritz pairs are exact.  At each step the Ritz
+    pairs come from LAPACK's ``eigh`` of the k-by-k Lanczos tridiagonal.
 
     Within a repeated extremal eigenvalue the vector is the start vector's
     component in that eigenspace: deterministic, but not the one a dense
-    eigensolver picks.  Every product is an ``einsum``, never BLAS, so the
-    result does not depend on the BLAS thread count.  An int8 ``a`` is
-    multiplied as it is: ``einsum`` widens it a buffer at a time, to the
-    same float64 products, so no float64 copy of the matrix is formed.
+    eigensolver picks.  Every n-length product is an ``einsum``, never BLAS,
+    so only the k-by-k ``eigh`` could see the BLAS thread count; the tests
+    check that the result's bytes are the same at 1, 2 and 4 OpenBLAS
+    threads.  An int8 ``a`` is multiplied as it is: ``einsum`` widens it a
+    buffer at a time, to the same float64 products, so no float64 copy of
+    the matrix is formed.
     """
     a = _int8_or_float(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -402,7 +343,8 @@ def extremal_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             projection += c
         alpha.append(float(projection[-1]))
         step = float(np.sqrt(_dot(w, w)))
-        values, ritz = _tridiagonal_extremal(alpha, beta)
+        values, ritz = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        values, ritz = values[[0, -1]], ritz[:, [0, -1]]
         if k == n or step * np.max(np.abs(ritz[-1])) <= LANCZOS_TOL * norm:
             break
         beta.append(step)

@@ -7,6 +7,8 @@ in bulk.  ``ksh_train_rebuilding_rows`` is em-ksh training with every anchor
 row's system built from scratch, which the downdated sweep must reproduce.
 ``homogeneous_dense`` is the homogeneous solve over the whole spectrum by a
 dense eigensolver, which the two-eigenpair Lanczos path must reproduce.
+``lfh_system_pinned`` is the logistic row system with its pair pivots pinned
+at one value, the form that the degeneracy and em-lfh tail checks compare.
 ``check_signs_isin`` is the entry check that ``dataio.check_signs`` makes
 without a whole-array copy, and ``load_feature_csv_per_field`` the feature
 CSV reader that the block parser of ``dataio.load_feature_matrix`` reproduces.
@@ -25,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from emhash.dataio import Dataset, Label, _parse_label
-from emhash.energy_models import SimilarityView, TrainConfig, ksh_anchor_system, ksh_tail_pass
+from emhash.energy_models import (
+    SimilarityView,
+    TrainConfig,
+    _lfh_build,
+    ksh_anchor_system,
+    ksh_tail_pass,
+)
 from emhash.mean_field import ZERO_TOL, LinearizedSigmoid, RowSystem, sigmoid, solve_row_system
 
 # Size guard for the damped-iteration oracle; it is a reference tool, not a
@@ -127,6 +135,23 @@ def ksh_train_rebuilding_rows(
     if sim.n > m:
         ksh_tail_pass(phi, sim, lin, gain=float(cfg.bits))
     return phi
+
+
+def lfh_system_pinned(
+    phi: np.ndarray, sim: SimilarityView, row: int, half_range: float, xi: float
+) -> RowSystem:
+    """The logistic system of point ``row`` with every pair's pivot pinned at ``xi``.
+
+    An anchor row pairs with the other anchors, as in ``lfh_system``; a
+    later row pairs with every anchor, as a tail row does.  Pivots pinned at
+    the code length reduce an anchor row's system to the squared-fit one
+    divided by the code length; pinned at 0 they give the em-lfh tail's.
+    """
+    x = 2.0 * np.asarray(phi, dtype=float)[: sim.m] - 1.0
+    s_row = sim.s[row, : sim.m].astype(float)
+    if row < sim.m:
+        x, s_row = np.delete(x, row, axis=0), np.delete(s_row, row)
+    return _lfh_build(x, s_row, np.full(x.shape[0], float(xi)), half_range)
 
 
 def homogeneous_dense(sys: RowSystem, lin: LinearizedSigmoid) -> tuple[np.ndarray, np.ndarray, int]:

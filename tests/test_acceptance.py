@@ -29,7 +29,6 @@ from emhash.energy_models import (
     ksh_anchor_system,
     ksh_energy,
     ksh_tail_pass,
-    lfh_system,
 )
 from emhash.evaluation import mean_average_precision
 from emhash.mean_field import (
@@ -39,7 +38,12 @@ from emhash.mean_field import (
     renormalize_and_squash,
     solve_affine,
 )
-from oracles import brute_force_min_energy, fixed_point_oracle, ksh_row_consistency
+from oracles import (
+    brute_force_min_energy,
+    fixed_point_oracle,
+    ksh_row_consistency,
+    lfh_system_pinned,
+)
 
 LIN = fit_linearization(2.0)
 
@@ -185,7 +189,7 @@ def test_criterion_06_lfh_ksh_degeneracy():
     worst_a = worst_b = worst_row = 0.0
     for anchor in range(m):
         ksh = ksh_anchor_system(phi, view, anchor, 2.0)
-        lfh = lfh_system(phi, view, anchor, 2.0, xi_override=float(bits))
+        lfh = lfh_system_pinned(phi, view, anchor, 2.0, float(bits))
         mask = ksh.a != 0.0
         worst_a = max(worst_a, float(np.max(np.abs(lfh.a[mask] * bits / ksh.a[mask] - 1.0))))
         worst_b = max(worst_b, float(np.max(np.abs(lfh.b * bits / ksh.b - 1.0))))

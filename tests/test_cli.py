@@ -12,6 +12,7 @@ import pytest
 import emhash
 from emhash.cli import main
 from emhash.dataio import load_feature_matrix, read_codes, write_feature_csv, write_label_file
+from emhash.energy_models import TrainConfig
 
 
 def synth(tmp_path, name="data.csv", clusters=2, per_cluster=60, dim=8, seed=3):
@@ -65,6 +66,18 @@ class TestTrain:
         ]) == 0
         for name in ("codes.txt", "model.emh", "thresholds.txt"):
             assert (first / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        data = synth(tmp_path)
+        out_dir = tmp_path / "run"
+        assert main([
+            "train", "--features", str(data), "--anchors", "40", "--out-dir", str(out_dir),
+        ]) == 0
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        defaults = TrainConfig()
+        for key in ("bits", "sweeps", "seed"):
+            assert f"{key}={getattr(defaults, key)}" in manifest
+        assert read_codes(out_dir / "codes.txt").shape == (120, defaults.bits)
 
     def test_missing_feature_file_leaves_no_outputs(self, tmp_path, capsys):
         code = main([

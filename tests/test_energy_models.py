@@ -1,7 +1,11 @@
 """Tests for the hashing-energy system builders and training loops."""
 
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from emhash.dataio import full_similarity
 from emhash.energy_models import (
     _ROW_BLOCK,
     _ksh_coupling,
-    _lfh_build,
     SimilarityView,
     TrainConfig,
     batch_solve_shared,
@@ -42,7 +45,7 @@ from emhash.mean_field import (
     solve_homogeneous,
     solve_row_system,
 )
-from oracles import homogeneous_dense, ksh_train_rebuilding_rows
+from oracles import homogeneous_dense, ksh_train_rebuilding_rows, lfh_system_pinned
 
 LIN = fit_linearization(2.0)
 
@@ -484,6 +487,20 @@ class TestSplh:
 EIGENVALUE_TOL = 1e-10
 CLUSTER_TOL = 1e-9
 
+
+def recorded_eigh_shapes(monkeypatch) -> list:
+    """Make ``np.linalg.eigh`` record the shape of every matrix it is given."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return shapes
+
+
 CLASS_OR_NONE = st.one_of(st.none(), st.integers(0, 11))
 TAGS_OR_NONE = st.one_of(st.none(), st.frozensets(st.integers(0, 5), min_size=1, max_size=3))
 
@@ -536,20 +553,62 @@ class TestSplhLanczos:
         assert 0 < np.count_nonzero(codes[:, 0] > 0) < 1500
 
     def test_em_splh_never_calls_dense_eigh(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        """Lanczos eigendecomposes only its k-by-k tridiagonals, never S itself."""
+        shapes = recorded_eigh_shapes(monkeypatch)
         labels = [int(c) for c in np.random.default_rng(2).integers(0, 5, 200)]
         sim = full_similarity(labels)
         em_splh_train(sim, TrainConfig(bits=4, sweeps=1), LIN)
-        assert calls == []
-        homogeneous_dense(splh_system(sim, 2.0), LIN)  # the counter does see a dense solve
-        assert calls == [1]
+        assert shapes
+        assert all(rows == cols < 200 for rows, cols in shapes)
+        shapes.clear()
+        homogeneous_dense(splh_system(sim, 2.0), LIN)  # the recorder does see a dense solve
+        assert shapes == [(200, 200)]
+
+    def test_long_run_is_thread_invariant_and_matches_dense(self, tmp_path, monkeypatch):
+        """1500 points with 1-3 of 40 tags: a Lanczos run of at least 40 steps.
+
+        The Ritz pairs come from LAPACK on the k-by-k tridiagonal; the bytes of
+        the result must not depend on the OpenBLAS thread count.  At this size a
+        BLAS matrix-vector product splits its sums by thread count, so the check
+        covers the n-length products too.
+        """
+        rng = np.random.default_rng(1)
+        labels = [
+            frozenset(rng.choice(40, size=int(rng.integers(1, 4)), replace=False).tolist())
+            for _ in range(1500)
+        ]
+        system = splh_system(full_similarity(labels), 2.0)
+        matrix = tmp_path / "a.npy"
+        np.save(matrix, system.a)
+        source = str(Path(energy_models.__file__).resolve().parents[1])
+        results = {}
+        for threads in (1, 2, 4):
+            out = tmp_path / f"pairs{threads}.bin"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys, numpy as np\n"
+                 "from emhash.mean_field import extremal_eigenpairs\n"
+                 "values, vectors = extremal_eigenpairs(np.load(sys.argv[1]))\n"
+                 "open(sys.argv[2], 'wb').write(values.tobytes() + vectors.tobytes())\n",
+                 str(matrix), str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            results[threads] = out.read_bytes()
+        assert results[1] == results[2] == results[4]
+
+        steps = recorded_eigh_shapes(monkeypatch)
+        values, vectors = extremal_eigenpairs(system.a)
+        assert len(steps) >= 40
+        assert results[1] == values.tobytes() + vectors.tobytes()
+        norm = float(np.abs(system.a).sum(axis=1).max())
+        spectrum, _, _ = homogeneous_dense(system, LIN)
+        for j, expected in enumerate((spectrum[0], spectrum[-1])):
+            assert abs(values[j] - expected) <= EIGENVALUE_TOL * norm
+            assert abs(float(vectors[:, j] @ system.a @ vectors[:, j]) - expected) <= (
+                EIGENVALUE_TOL * norm
+            )
 
     def test_int8_input_matches_float_input(self):
         labels = [int(c) for c in np.random.default_rng(3).integers(0, 4, 50)]
@@ -668,7 +727,7 @@ class TestLfh:
         view = SimilarityView(s=s)
         i = 4
         ksh = ksh_anchor_system(phi, view, i, 2.0)
-        lfh = lfh_system(phi, view, i, 2.0, xi_override=float(bits))
+        lfh = lfh_system_pinned(phi, view, i, 2.0, float(bits))
         mask = ksh.a != 0.0
         np.testing.assert_allclose(lfh.a[mask] * bits / ksh.a[mask], 1.0, atol=1e-10)
         np.testing.assert_allclose(lfh.b * bits, ksh.b, rtol=1e-12)
@@ -915,15 +974,13 @@ class TestTailMatchesRowSolve:
 
 def assert_lfh_tail_matches_rows(phi, s, half_range, atol):
     """The em-lfh tail against the per-row dispatcher on each row's lfh system
-    pivoted at its uninformative marginals (x_self = 0, so xi = 0)."""
+    pivoted at its uninformative marginals (its x is 0, so every xi is 0)."""
     view = SimilarityView(s=s)
     lin = linearization(half_range)
-    x = 2.0 * phi - 1.0
-    x_self = np.zeros(phi.shape[1])
     out = tail_pass(phi, view, lin, gain=2.0)
     assert out.shape == (view.n - view.m, phi.shape[1])
-    for i, s_row in enumerate(s[view.m :]):
-        sys = _lfh_build(x, s_row.astype(float), x_self, half_range, xi_override=0.0)
+    for i in range(view.n - view.m):
+        sys = lfh_system_pinned(phi, view, view.m + i, half_range, 0.0)
         expected = solve_row_system(sys, lin)
         np.testing.assert_allclose(out[i], expected, rtol=0.0, atol=atol)
 

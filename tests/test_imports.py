@@ -11,6 +11,10 @@ Every import sits at module level, so the import graph is what the module
 heads say: an import inside a function hides a cycle until that function
 runs.
 
+Every private top-level function or class is referenced in its own module,
+outside its own definition: a private helper that outlives its last caller
+is dead code.
+
 No module widens a whole similarity block: similarity entries are checked
 without ``np.isin``, whose table method copies its input to int64, and no
 unsliced block is cast to float.  A row or block of rows (a subscript) may
@@ -153,3 +157,46 @@ def test_check_sees_a_nested_import():
         "line 3: from .energy_models import SimilarityView",
         "line 6: import json",
     ]
+
+
+def unreferenced_private_definitions(source: str) -> list[str]:
+    """Private top-level functions and classes no other module statement names."""
+    tree = ast.parse(source)
+    private = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+    referenced = set()
+    for statement in tree.body:
+        names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+        own = getattr(statement, "name", None)
+        referenced |= names - {own}
+    return [
+        f"line {node.lineno}: {name}"
+        for name, node in private.items()
+        if name not in referenced
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    assert unreferenced_private_definitions(path.read_text()) == []
+
+
+def test_check_sees_an_unreferenced_private_definition():
+    source = (
+        "def _pivots(x):\n"
+        "    return _pivots(x - 1) if x else 0\n"
+        "class _Kept:\n"
+        "    pass\n"
+        "def _used():\n"
+        "    return _Kept()\n"
+        "def public():\n"
+        "    return _used()\n"
+        "def __getattr__(name):\n"
+        "    raise AttributeError(name)\n"
+    )
+    assert unreferenced_private_definitions(source) == ["line 1: _pivots"]
