@@ -235,10 +235,10 @@ def run_train(cfg: RunConfig) -> int:
     method = cfg["method"]
     train_start = time.perf_counter()
     if method == "em-splh":
-        # Refuse oversize inputs before the n-by-n block is allocated.
-        check_dense_budget((dataset.n, dataset.n))
-        sim = dataio.full_similarity(dataset.labels)
-        phi = em_splh_train(sim, tcfg, lin)
+        # The similarity of the distinct label sets, refused past the cap before it is built.
+        groups, distinct = dataio.group_labels(dataset.labels)
+        check_dense_budget(len(distinct))
+        phi = em_splh_train((groups, dataio.full_similarity(distinct)), tcfg, lin)
         print(
             "em-splh: all bit columns are identical; the output carries 1 effective bit",
             file=sys.stderr,

@@ -2,13 +2,16 @@
 
 Two feature sources are supported: a text CSV (one point per row, optional
 trailing label field) and a flat binary matrix.  Similarity is always derived
-on demand from labels -- the full pairwise matrix is never required, only the
-sampled point-by-anchor block -- with the usual semantics: same class or at
-least one shared tag means similar, disjoint means dissimilar, and a missing
-label on either side means unobserved.
+on demand from labels, with the usual semantics: same class or at least one
+shared tag means similar, disjoint means dissimilar, and a missing label on
+either side means unobserved.  So it is constant over the points that share
+a label, and training never builds it point by point: :func:`group_labels`
+numbers the u distinct labels once, a :class:`SimilarityView` is n group ids
+plus a u-by-anchors block, and em-splh solves on the u-by-u matrix of the
+distinct labels.
 
-Every similarity array -- the anchor block, the dense em-splh matrix and the
-relevance blocks of evaluation -- comes from one builder,
+Every similarity array -- the anchor block, the em-splh label-set matrix and
+the relevance blocks of evaluation -- comes from one builder,
 :func:`similarity_block`.  It reads labels encoded once by
 :func:`index_labels` into tag -> positions lists, where a class id ``c``
 counts as the singleton tag set ``{c}`` and unlabeled positions are listed
@@ -45,6 +48,8 @@ __all__ = [
     "write_label_file",
     "standardize_features",
     "index_labels",
+    "group_labels",
+    "group_rows",
     "similarity_block",
     "full_similarity",
     "sample_similarity_columns",
@@ -286,6 +291,30 @@ def index_labels(labels: list) -> tuple[int, dict, np.ndarray]:
     return len(labels), arrays, np.array(unlabeled, dtype=np.intp)
 
 
+def group_labels(labels: list) -> tuple[np.ndarray, list]:
+    """Number the distinct labels in order of first appearance.
+
+    Returns ``(groups, distinct)`` with ``labels[i] == distinct[groups[i]]``;
+    ``groups`` is an intp array.
+    """
+    ids: dict = {}
+    groups = np.fromiter(
+        (ids.setdefault(label, len(ids)) for label in labels), dtype=np.intp, count=len(labels)
+    )
+    return groups, list(ids)
+
+
+def group_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of a 2-d array, compared by their bytes.
+
+    Returns ``(groups, first)``: groups are numbered in order of first
+    appearance, ``first[g]`` is the first row of group g, and ``block[i]``
+    equals ``block[first[groups[i]]]``.
+    """
+    groups, _ = group_labels([row.tobytes() for row in block])
+    return groups, np.unique(groups, return_index=True)[1]
+
+
 def similarity_block(rows: tuple, cols: tuple) -> np.ndarray:
     """Int8 block whose entry (i, j) is the similarity (+1, -1 or 0) of row i to column j."""
     n_rows, row_tags, row_unlabeled = rows
@@ -312,51 +341,67 @@ def sample_similarity_columns(dataset: Dataset, m: int, seed: int):
 
     Chooses ``m`` anchor indices uniformly without replacement, reorders the
     points so the anchors come first (anchors in ascending original order,
-    then the remaining points in ascending original order), and materializes
-    the dense points-by-anchors block.  Returns ``(view, order)`` where
-    ``order[k]`` is the original index of the point at position k; the caller
-    applies the same order to features and undoes it on the way out.
+    then the remaining points in ascending original order), and builds one
+    row per distinct label (:func:`group_labels`) against the anchors.
+    Returns ``(view, order)`` where ``order[k]`` is the original index of the
+    point at position k; the caller applies the same order to features and
+    undoes it on the way out.
     """
     if dataset.labels is None:
         raise ValueError("anchor sampling requires labels")
     n = dataset.n
     if not 1 <= m <= n:
         raise ValueError(f"anchor count must lie in [1, {n}], got {m}")
-    if n * m > MAX_DENSE_ENTRIES:
+    groups, distinct = group_labels(dataset.labels)
+    if len(distinct) * m > MAX_DENSE_ENTRIES:
         raise ValueError("similarity view would exceed the dense budget")
     rng = np.random.default_rng(seed)
     anchors = np.sort(rng.choice(n, size=m, replace=False))
     rest = np.setdiff1d(np.arange(n), anchors, assume_unique=True)
     order = np.concatenate([anchors, rest])
-    ordered_labels = [dataset.labels[k] for k in order]
-    block = similarity_block(index_labels(ordered_labels), index_labels(ordered_labels[:m]))
-    return SimilarityView(s=block), order
+    block = similarity_block(
+        index_labels(distinct), index_labels([dataset.labels[k] for k in anchors])
+    )
+    return SimilarityView(s=block, groups=groups[order]), order
 
 
 @dataclass(frozen=True, eq=False)
 class SimilarityView:
-    """Sampled similarity block, points by anchors, entries in {-1, 0, +1}.
+    """Sampled similarity columns, points by anchors, entries in {-1, 0, +1}.
 
-    Column j holds the similarities of every point against anchor j; the
-    anchors occupy the first ``m`` rows, so ``s[j, j] == +1`` for labeled
-    anchors.  A zero entry means the relation is unobserved.  The block is
-    held as int8; an int8 block is kept without a copy.
+    Point i's similarities to the ``m`` anchors are the row ``s[groups[i]]``
+    of the int8 block ``s``, one row per group of points (per distinct
+    label, as :func:`sample_similarity_columns` builds it).  The anchors are
+    the first ``m`` points, so ``s[groups[j], j] == +1`` for a labeled anchor
+    j.  A zero entry means the relation is unobserved.  Given only a dense
+    points-by-anchors block, the view groups its equal rows
+    (:func:`group_rows`).
     """
 
     s: np.ndarray
+    groups: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         s = np.asarray(self.s)
         if s.ndim != 2:
             raise ValueError(f"similarity view must be 2-d, got shape {s.shape}")
-        if s.shape[0] < s.shape[1]:
-            raise ValueError("anchor count cannot exceed point count")
         check_signs(s, _ENTRIES_MESSAGE, zero=True)
-        object.__setattr__(self, "s", s.astype(np.int8, copy=False))
+        s = s.astype(np.int8, copy=False)
+        if self.groups is None:
+            groups, first = group_rows(s)
+            s = s[first]
+        else:
+            groups = np.asarray(self.groups, dtype=np.intp)
+            if groups.ndim != 1 or (groups.size and not 0 <= groups.min() <= groups.max() < len(s)):
+                raise ValueError(f"group ids must be a 1-d array indexing the {len(s)} block rows")
+        if groups.size < s.shape[1]:
+            raise ValueError("anchor count cannot exceed point count")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n(self) -> int:
-        return self.s.shape[0]
+        return self.groups.size
 
     @property
     def m(self) -> int:
@@ -407,11 +452,21 @@ def write_codes(path: str | Path, codes: np.ndarray, fmt: str = "text") -> None:
         raise ValueError(f"codes must be 2-d, got shape {codes.shape}")
     check_signs(codes, "codes must contain only +1 and -1")
     if fmt == "text":
-        # Token strings exist for one block of rows at a time, so memory stays flat.
-        with open(path, "w") as fh:
+        # A row of d codes is 3d + 1 byte slots: per code a separator (a
+        # space, or an empty 0 slot before the first), "-" or an empty slot,
+        # and "1"; then the newline.  The empty slots are dropped.  The bytes
+        # exist for one block of rows at a time, so memory stays flat.
+        with open(path, "wb") as fh:
             for start in range(0, codes.shape[0], _ROW_BLOCK):
-                rows = np.where(codes[start : start + _ROW_BLOCK] > 0, "1", "-1").tolist()
-                fh.write("".join(" ".join(row) + "\n" for row in rows))
+                block = codes[start : start + _ROW_BLOCK]
+                width = 3 * block.shape[1]
+                slots = np.zeros((block.shape[0], width + 1), dtype=np.uint8)
+                slots[:, 3:width:3] = ord(" ")
+                slots[:, 1:width:3] = (block < 0) * np.uint8(ord("-"))
+                slots[:, 2:width:3] = ord("1")
+                slots[:, width] = ord("\n")
+                flat = slots.reshape(-1)
+                fh.write(flat[flat != 0].tobytes())
         return
     if fmt != "packed":
         raise ValueError(f"unknown codes format {fmt!r}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _ENTRIES_MESSAGE, SimilarityView, check_signs
+from .dataio import _ENTRIES_MESSAGE, SimilarityView, check_signs, group_rows
 from .mean_field import (
     ZERO_TOL,
     LinearizedSigmoid,
@@ -72,12 +72,13 @@ __all__ = [
     "splh_energy",
 ]
 
-# Points of the dense n-by-n similarity matrix em-splh holds; beyond this the
-# one-shot path is out of its depth and the caller should sample anchors.
+# Distinct label sets (u) of the em-splh similarity: its solve holds a u-by-u
+# float64 matrix, 200 MB at this cap, whatever the number of points.
 MAX_DENSE_POINTS = 5000
 
-# Tail rows are built, cast and solved in fixed blocks of this many rows,
-# independent of input and thread count, so peak temporary memory stays bounded.
+# The tail's systems, one per group of points, are built, cast and solved in
+# fixed blocks of this many, independent of input and thread count, so peak
+# temporary memory stays bounded.
 _ROW_BLOCK = 256
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def ksh_anchor_system(
     bits = phi.shape[1]
     x = 2.0 * phi[:m] - 1.0
     others = np.delete(x, anchor, axis=0)
-    s_row = np.delete(sim.s[anchor, :m].astype(float), anchor)
+    s_row = np.delete(sim.s[sim.groups[anchor]].astype(float), anchor)
     b = float(bits) * (others.T @ s_row)
     return make_system(_ksh_coupling(others), b, half_range)
 
@@ -219,15 +220,16 @@ def batch_solve_shared(
 def ksh_tail_pass(
     phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid, *, gain: float
 ) -> np.ndarray:
-    """Solve every non-anchor row in place, one build, stacked solve and squash per row block.
+    """Solve every non-anchor row in place: one system per group of the view.
 
     ``phi`` is the float64 array of soft codes of all ``sim.n`` points,
     anchors first: its anchor rows are read, its remaining rows are
     overwritten, and that tail ``phi[m:]`` is returned.
-    The shared coupling and its eigendecomposition are computed once; each
-    block of ``_ROW_BLOCK`` rows gets its linear terms and scales from
-    :func:`ksh_tail_systems` at evidence ``gain``, so temporaries stay
-    bounded by the block.
+    Tail rows never enter each other's systems, so the tail rows of one
+    group pose one system.  The shared coupling and its eigendecomposition
+    are computed once; each block of ``_ROW_BLOCK`` rows of ``sim.s`` gets
+    its linear terms and scales from :func:`ksh_tail_systems` at evidence
+    ``gain``, and every tail row then takes its group's solution.
     Dispatches like :func:`~emhash.mean_field.solve_row_system`: rows without
     evidence stay at 0.5 and a zero shared matrix gives ``sigmoid(b / scale)``.
     """
@@ -238,19 +240,19 @@ def ksh_tail_pass(
     a = _ksh_coupling(x)
     explicit = np.max(np.abs(a)) < ZERO_TOL
     eig = None if explicit else eigendecompose_shared(a)
-    out = phi[m:]
-    out[...] = 0.5
-    for start in range(0, out.shape[0], _ROW_BLOCK):
+    solved = np.full((sim.s.shape[0], phi.shape[1]), 0.5)
+    for start in range(0, solved.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        b, scales = ksh_tail_systems(a, x, sim.s[m:][rows], lin.half_range, gain)
+        b, scales = ksh_tail_systems(a, x, sim.s[rows], lin.half_range, gain)
         live = np.max(np.abs(b), axis=1) >= ZERO_TOL
         b, scales = b[live], scales[live]
         if explicit:
-            out[rows][live] = sigmoid(b / scales[:, None])
+            solved[rows][live] = sigmoid(b / scales[:, None])
         else:
             v = batch_solve_shared(eig, b, scales, lin)
-            out[rows][live] = renormalize_and_squash(v, b, scales, lin.half_range)
-    return out
+            solved[rows][live] = renormalize_and_squash(v, b, scales, lin.half_range)
+    # Unbuffered (mode="clip": every id is in range), so no temporary of the tail's size.
+    return np.take(solved, sim.groups[m:], axis=0, out=phi[m:], mode="clip")
 
 
 def _train(
@@ -299,7 +301,7 @@ def _ksh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> 
         own = np.outer(x[i], x[i])
         a = own - g
         np.fill_diagonal(a, 0.0)
-        s_row = sim.s[i, :m].astype(float)
+        s_row = sim.s[sim.groups[i]].astype(float)
         b = float(bits) * (s_row @ x - s_row[i] * x[i])
         phi[i] = solve_row_system(make_system(a, b, lin.half_range), lin)
         x[i] = 2.0 * phi[i] - 1.0
@@ -329,60 +331,87 @@ def em_ksh_train(sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid) 
     return _train(sim, cfg, lin, _ksh_sweep, float(cfg.bits))
 
 
-def splh_system(sim_full: np.ndarray, half_range: float = 2.0) -> RowSystem:
-    """Consistency system shared by every bit column under the correlation energy.
+def splh_system(sigma: np.ndarray, sizes: np.ndarray, half_range: float = 2.0) -> RowSystem:
+    """Consistency system shared by every bit column under the correlation
+    energy, on the groups of points with equal similarities.
 
-    The full square similarity matrix itself is the system matrix and the
-    linear term is exactly zero; no bit depends on another, so all bit
-    columns pose this one problem.  The checks run on the input as given;
-    the matrix is then held as int8 (without a copy when it is int8, as
-    :func:`emhash.dataio.full_similarity` builds it), never as float64.
-    With b = 0 and entries in {-1, 0, +1}, each row sum of ``|s|`` is the
-    row's count of nonzeros, so the scale is the :func:`build_scale` value,
-    counted a block of rows at a time.
+    The square similarity is ``S = P sigma P.T``: ``P`` puts each point in
+    one of the u groups, group g holding ``sizes[g]`` points.  The linear
+    term is exactly zero and no bit depends on another, so all bit columns
+    pose one homogeneous problem on S.  Every eigenvector of S with a
+    nonzero eigenvalue is ``v = (w / sqrt(sizes))[groups]``, of the same
+    norm, with w an eigenvector of the u-by-u ``D^1/2 sigma D^1/2``,
+    ``D = diag(sizes)``: the returned matrix.  Each row sum of ``|S|`` is
+    the row's count of nonzeros, ``(|sigma| @ sizes)[g]`` in group g, so the
+    scale is S's :func:`build_scale` value, counted in integers.
     """
-    s = np.asarray(sim_full)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"full similarity must be square, got shape {s.shape}")
-    if not is_exactly_symmetric(s):
-        raise ValueError("full similarity must be symmetric")
-    check_signs(s, _ENTRIES_MESSAGE, zero=True)
+    sigma = _checked_square(sigma)
+    sizes = np.asarray(sizes)
+    if sizes.shape != sigma.shape[:1] or sizes.dtype.kind not in "iu" or (sizes < 1).any():
+        raise ValueError(f"need a positive integer group size for each of the {len(sigma)} groups")
     if half_range <= 0.0:
         raise ValueError(f"half_range must be positive, got {half_range}")
-    s = s.astype(np.int8, copy=False)
-    nonzeros = max(
-        int(np.count_nonzero(s[k : k + _ROW_BLOCK], axis=1).max())
-        for k in range(0, s.shape[0], _ROW_BLOCK)
-    )
-    return RowSystem(a=s, b=np.zeros(s.shape[0]), scale=nonzeros / half_range)
+    nonzeros = int(((sigma != 0) @ sizes.astype(np.int64)).max())
+    # An entry of sigma is 0 or +-1, so sigma * root_i is exact and entry (i, j)
+    # rounds once, to +-(root_i * root_j): the matrix is exactly symmetric.
+    root = np.sqrt(sizes)
+    a = sigma.astype(float)
+    a *= root[:, None]
+    a *= root
+    return RowSystem(a=a, b=np.zeros(len(sigma)), scale=nonzeros / half_range)
 
 
-def check_dense_budget(shape: tuple) -> None:
-    """Refuse a dense similarity of ``shape`` past the one-shot solve's budget."""
-    if len(shape) != 2 or shape[0] > MAX_DENSE_POINTS:
+def check_dense_budget(sets: int) -> None:
+    """Refuse an em-splh similarity of more than ``MAX_DENSE_POINTS`` distinct label sets."""
+    if sets > MAX_DENSE_POINTS:
         raise ValueError(
-            f"dense one-shot solve supports at most {MAX_DENSE_POINTS} points, "
-            f"got shape {shape}"
+            f"em-splh supports at most {MAX_DENSE_POINTS} distinct label sets, got {sets}"
         )
 
 
-def em_splh_train(sim_full: np.ndarray, cfg: TrainConfig, lin: LinearizedSigmoid) -> np.ndarray:
+def _checked_square(raw) -> np.ndarray:
+    raw = np.asarray(raw)
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+        raise ValueError(f"full similarity must be square, got shape {raw.shape}")
+    if not is_exactly_symmetric(raw):
+        raise ValueError("full similarity must be symmetric")
+    check_signs(raw, _ENTRIES_MESSAGE, zero=True)
+    return raw
+
+
+def em_splh_train(sim_full, cfg: TrainConfig, lin: LinearizedSigmoid) -> np.ndarray:
     """Learn soft codes for the correlation energy in one exact solve.
 
-    The system is homogeneous by construction, so the homogeneous eigenvector
-    path (two extremal eigenpairs by Lanczos), re-normalized and squashed,
-    yields the single shared bit column directly; no initialization is
-    involved and every bit column is a copy of it.  Beside the similarity it
-    reads only ``cfg.bits`` and ``lin``; ``cfg.sweeps`` and ``cfg.seed`` play
-    no part.
+    ``sim_full`` is the square similarity of the points, factored as
+    ``(groups, sigma)`` -- points i and j have similarity
+    ``sigma[groups[i], groups[j]]`` -- or dense, and then factored by its
+    distinct rows.  The system is homogeneous by construction, so the
+    homogeneous eigenvector path (two extremal eigenpairs by Lanczos) on the
+    u-by-u :func:`splh_system`, expanded to the points with the sign that
+    makes its first nonnegligible entry positive, re-normalized and
+    squashed, yields the single shared bit column directly; no
+    initialization is involved and every bit column is a copy of it.
+    Beside the similarity it reads only ``cfg.bits`` and ``lin``.
     """
-    raw = np.asarray(sim_full)
-    check_dense_budget(raw.shape)
-    if not raw.any():
+    if isinstance(sim_full, tuple):
+        groups, sigma = np.asarray(sim_full[0]), np.asarray(sim_full[1])
+    else:
+        # Equal rows of a symmetric matrix have equal columns too, so sigma
+        # is the matrix read at the first point of each group of equal rows.
+        raw = _checked_square(sim_full).astype(np.int8, copy=False)
+        groups, first = group_rows(raw)
+        sigma = raw[np.ix_(first, first)]
+    check_dense_budget(len(sigma))
+    if not sigma.any():
         raise ValueError("all-zero similarity admits no solution")
-    sys = splh_system(raw, lin.half_range)
-    column = renormalize_and_squash(solve_homogeneous(sys, lin), sys.b, sys.scale, lin.half_range)
-    return np.repeat(column[:, None], cfg.bits, axis=1)
+    sizes = np.bincount(groups, minlength=len(sigma))
+    sys = splh_system(sigma, sizes, lin.half_range)
+    y = solve_homogeneous(sys, lin) / np.sqrt(sizes)
+    lead = groups[np.flatnonzero(np.abs(y[groups]) > 1e-12 * np.max(np.abs(y)))[0]]
+    if y[lead] < 0.0:
+        y = -y
+    column = renormalize_and_squash(y, np.zeros_like(y), sys.scale, lin.half_range)
+    return np.repeat(column[:, None], cfg.bits, axis=1)[groups]
 
 
 def variational_weight(xi: np.ndarray | float) -> np.ndarray:
@@ -429,7 +458,7 @@ def lfh_system(
         raise ValueError(f"need soft codes for all {m} anchors, got {phi.shape[0]} rows")
     x = 2.0 * phi[:m] - 1.0
     others = np.delete(x, anchor, axis=0)
-    s_row = np.delete(sim.s[anchor, :m].astype(float), anchor)
+    s_row = np.delete(sim.s[sim.groups[anchor]].astype(float), anchor)
     return _lfh_build(others, s_row, np.abs(others @ x[anchor]), half_range)
 
 

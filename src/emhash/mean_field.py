@@ -64,9 +64,12 @@ ZERO_TOL = 1e-12
 # right-hand side) signals a violated precondition or numerical breakdown.
 RESIDUAL_TOL = 1e-8
 
-# Spread below which the pre-squash vector is considered constant and the
-# uninformative 0.5 marginal is returned instead of stretching noise.
-DEGENERATE_SPAN = 1e-12
+# Spread of the pre-squash vector, relative to the half-range its scale
+# confines it to, below which the vector is considered constant and the
+# uninformative 0.5 marginal is returned instead of stretching noise.  The
+# downdated em-ksh sweep matches a per-row rebuild to 1e-12 of each term's
+# size, so this sits a thousandfold above that rounding.
+DEGENERATE_SPAN = 1e-9
 
 # Lanczos stops once the residual norm(A @ x - theta * x) of both extremal Ritz
 # pairs is at most this times the infinity norm of A.  Breakdown (an invariant
@@ -200,12 +203,6 @@ def build_scale(a: np.ndarray, b: np.ndarray, half_range: float) -> float | np.n
     return float(scales) if b.ndim == 1 else scales
 
 
-def _int8_or_float(a: np.ndarray) -> np.ndarray:
-    # An int8 matrix (the em-splh similarity) stays int8; any other is float64.
-    a = np.asarray(a)
-    return a if a.dtype == np.int8 else a.astype(float, copy=False)
-
-
 def is_exactly_symmetric(a: np.ndarray) -> bool:
     """True iff the square matrix ``a`` equals its transpose entry for entry.
 
@@ -224,8 +221,7 @@ class RowSystem:
 
     ``a`` must be exactly symmetric (built symmetric, never symmetrized
     after the fact) and ``scale`` is the :func:`build_scale` value for the
-    half-range in use.  An int8 ``a`` (the em-splh similarity matrix) is
-    kept as it is; any other matrix is held as float64.
+    half-range in use.  Both are held as float64.
     """
 
     a: np.ndarray
@@ -233,7 +229,7 @@ class RowSystem:
     scale: float
 
     def __post_init__(self) -> None:
-        a = _int8_or_float(self.a)
+        a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -317,11 +313,9 @@ def extremal_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigensolver picks.  Every n-length product is an ``einsum``, never BLAS,
     so only the k-by-k ``eigh`` could see the BLAS thread count; the tests
     check that the result's bytes are the same at 1, 2 and 4 OpenBLAS
-    threads.  An int8 ``a`` is multiplied as it is: ``einsum`` widens it a
-    buffer at a time, to the same float64 products, so no float64 copy of
-    the matrix is formed.
+    threads.
     """
-    a = _int8_or_float(a)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
     n = a.shape[0]
@@ -406,9 +400,12 @@ def renormalize_and_squash(
 
     Each row, with its own ``scale``, forms ``v' = v + b / scale``, stretches
     it affinely so that ``min(v') -> -half_range`` and ``max(v') ->
-    +half_range``, and returns ``sigmoid(v')``.  A row spanning less than
-    ``DEGENERATE_SPAN`` (including length 1) carries no ordering information,
-    so it gets the uninformative 0.5 marginal without a divide by its spread.
+    +half_range``, and returns ``sigmoid(v')``.  A row spanning at most
+    ``DEGENERATE_SPAN * half_range`` (including length 1) carries no ordering
+    information beyond rounding, so it gets the uninformative 0.5 marginal
+    without a divide by its spread.  The threshold moves with the half-range:
+    the scale confines each argument ``(A u + b) / scale`` of a row to
+    ``[-half_range, half_range]``, so that is the size its rounding scales with.
     """
     v = np.asarray(v, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -423,8 +420,9 @@ def renormalize_and_squash(
     lo = vp.min(axis=-1, keepdims=True)
     span = vp.max(axis=-1, keepdims=True) - lo
     # Flat rows stretch by a finite dummy span and are then zeroed: sigmoid(0) = 0.5.
-    gain = half_range * (span >= DEGENERATE_SPAN)
-    return sigmoid(gain * (2.0 * (vp - lo) / np.maximum(span, DEGENERATE_SPAN) - 1.0))
+    floor = DEGENERATE_SPAN * half_range
+    gain = half_range * (span > floor)
+    return sigmoid(gain * (2.0 * (vp - lo) / np.maximum(span, floor) - 1.0))
 
 
 def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:

@@ -3,10 +3,14 @@
 None of this is a production path.  ``label_similarity`` is the scalar
 definition that ``dataio.similarity_block`` reproduces in bulk, and
 ``text_codes_per_token`` the token-by-token text the code writer reproduces
-in bulk.  ``ksh_train_rebuilding_rows`` is em-ksh training with every anchor
-row's system built from scratch, which the downdated sweep must reproduce.
+in bulk; ``text_codes_joined`` is the writer's earlier form, which joined
+per-token strings a block of rows at a time.  ``ksh_train_rebuilding_rows``
+is em-ksh training with every anchor row's system built from scratch, which
+the downdated sweep must reproduce.
 ``homogeneous_dense`` is the homogeneous solve over the whole spectrum by a
-dense eigensolver, which the two-eigenpair Lanczos path must reproduce.
+dense eigensolver, which the two-eigenpair Lanczos path must reproduce, and
+``splh_system_dense`` the em-splh system over all n points, whose
+eigenvectors the label-set system's must reproduce once expanded.
 ``lfh_system_pinned`` is the logistic row system with its pair pivots pinned
 at one value, the form that the degeneracy and em-lfh tail checks compare.
 ``check_signs_isin`` is the entry check that ``dataio.check_signs`` makes
@@ -34,7 +38,14 @@ from emhash.energy_models import (
     ksh_anchor_system,
     ksh_tail_pass,
 )
-from emhash.mean_field import ZERO_TOL, LinearizedSigmoid, RowSystem, sigmoid, solve_row_system
+from emhash.mean_field import (
+    ZERO_TOL,
+    LinearizedSigmoid,
+    RowSystem,
+    build_scale,
+    sigmoid,
+    solve_row_system,
+)
 
 # Size guard for the damped-iteration oracle; it is a reference tool, not a
 # production path, and its dense quadratic cost is only acceptable on small
@@ -62,6 +73,16 @@ def text_codes_per_token(codes: np.ndarray) -> str:
     """The text code layout, one ``str(int(v))`` per entry, rows joined by newlines."""
     lines = [" ".join(str(int(v)) for v in row) for row in codes]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def text_codes_joined(codes: np.ndarray) -> str:
+    """The text code layout as one ``"1"`` or ``"-1"`` string per entry, joined
+    by spaces and newlines 256 rows at a time."""
+    blocks = []
+    for start in range(0, codes.shape[0], 256):
+        rows = np.where(codes[start : start + 256] > 0, "1", "-1").tolist()
+        blocks.append("".join(" ".join(row) + "\n" for row in rows))
+    return "".join(blocks)
 
 
 def average_precision(ranking: np.ndarray, relevant: np.ndarray) -> float:
@@ -148,10 +169,17 @@ def lfh_system_pinned(
     divided by the code length; pinned at 0 they give the em-lfh tail's.
     """
     x = 2.0 * np.asarray(phi, dtype=float)[: sim.m] - 1.0
-    s_row = sim.s[row, : sim.m].astype(float)
+    s_row = sim.s[sim.groups[row]].astype(float)
     if row < sim.m:
         x, s_row = np.delete(x, row, axis=0), np.delete(s_row, row)
     return _lfh_build(x, s_row, np.full(x.shape[0], float(xi)), half_range)
+
+
+def splh_system_dense(sim_full: np.ndarray, half_range: float = 2.0) -> RowSystem:
+    """The correlation energy's system over every point: the n-by-n similarity
+    itself, zero evidence and the row-sum scale of :func:`build_scale`."""
+    s = np.asarray(sim_full, dtype=float)
+    return RowSystem(a=s, b=np.zeros(len(s)), scale=build_scale(s, np.zeros(len(s)), half_range))
 
 
 def homogeneous_dense(sys: RowSystem, lin: LinearizedSigmoid) -> tuple[np.ndarray, np.ndarray, int]:

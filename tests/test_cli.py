@@ -244,25 +244,97 @@ class TestEval:
         assert "labels" in capsys.readouterr().err
 
 
+def distinct_classes_csv(tmp_path, n):
+    """A feature CSV of n points, each in its own class: n distinct label sets."""
+    data = tmp_path / f"classes{n}.csv"
+    write_feature_csv(data, np.arange(float(n))[:, None], list(range(n)))
+    return data
+
+
 class TestDenseBudget:
+    """em-splh caps the distinct label sets (u), not the points."""
+
     def test_splh_refuses_before_building_the_dense_block(self, tmp_path, capsys, monkeypatch):
         from emhash import dataio
 
         def forbidden(labels):
-            raise AssertionError("full_similarity called past the dense budget")
+            raise AssertionError("full_similarity called past the label-set cap")
 
         monkeypatch.setattr(dataio, "full_similarity", forbidden)
-        data = tmp_path / "big.csv"
-        write_feature_csv(data, np.arange(5001.0)[:, None], [i % 2 for i in range(5001)])
         code = main([
-            "train", "--features", str(data), "--method", "em-splh", "--bits", "4",
-            "--out-dir", str(tmp_path / "run"),
+            "train", "--features", str(distinct_classes_csv(tmp_path, 5001)),
+            "--method", "em-splh", "--bits", "4", "--out-dir", str(tmp_path / "run"),
         ])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "at most 5000 points" in err
+        assert "at most 5000 distinct label sets, got 5001" in err
         assert not (tmp_path / "run").exists()
+
+    def test_splh_trains_at_the_cap(self, tmp_path):
+        out_dir = tmp_path / "run"
+        assert main([
+            "train", "--features", str(distinct_classes_csv(tmp_path, 5000)),
+            "--method", "em-splh", "--bits", "4", "--out-dir", str(out_dir),
+        ]) == 0
+        assert read_codes(out_dir / "codes.txt").shape == (5000, 4)
+
+    def test_splh_trains_fifty_thousand_class_labelled_points(self, tmp_path):
+        """Past the old 5000-point budget: ten classes need a 10-by-10 solve."""
+        data = tmp_path / "big.csv"
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 10, 50_000)
+        write_feature_csv(data, labels[:, None] + rng.random((50_000, 1)), labels.tolist())
+        out_dir = tmp_path / "run"
+        assert main([
+            "train", "--features", str(data), "--method", "em-splh", "--bits", "4",
+            "--out-dir", str(out_dir),
+        ]) == 0
+        codes = read_codes(out_dir / "codes.txt")
+        assert codes.shape == (50_000, 4) and 0 < np.count_nonzero(codes[:, 0] > 0) < 50_000
+
+
+class TestEdgeProbes:
+    """Inputs at the edges of what training accepts; each trains and exits 0."""
+
+    def run(self, tmp_path, features, labels, *extra):
+        data = tmp_path / "data.csv"
+        write_feature_csv(data, features, labels)
+        out_dir = tmp_path / "run"
+        assert main(["train", "--features", str(data), "--out-dir", str(out_dir), *extra]) == 0
+        return read_codes(out_dir / "codes.txt")
+
+    @pytest.mark.parametrize("method", ["em-ksh", "em-lfh"])
+    def test_all_unlabeled_anchors_give_uninformative_codes(self, tmp_path, method):
+        from emhash.dataio import Dataset, sample_similarity_columns
+
+        n, m, seed = 60, 12, 4
+        # The anchors depend only on the point count, the anchor count and the seed.
+        _, order = sample_similarity_columns(Dataset(np.zeros((n, 1)), [0] * n), m, seed)
+        labels = [i % 3 for i in range(n)]
+        for k in order[:m]:
+            labels[k] = None
+        features = np.random.default_rng(0).random((n, 3))
+        codes = self.run(tmp_path, features, labels, "--method", method, "--bits", "4",
+                         "--anchors", str(m), "--seed", str(seed))
+        # Every relation to an anchor is unobserved: all marginals sit at 0.5.
+        np.testing.assert_array_equal(codes, 1)
+
+    @pytest.mark.parametrize("method", ["em-ksh", "em-lfh", "em-splh"])
+    def test_single_class(self, tmp_path, method):
+        features = np.random.default_rng(1).random((30, 3))
+        codes = self.run(tmp_path, features, [4] * 30, "--method", method, "--bits", "4",
+                         "--anchors", "10")
+        assert codes.shape == (30, 4)
+
+    @pytest.mark.parametrize("method", ["em-ksh", "em-lfh", "em-splh"])
+    def test_single_bit(self, tmp_path, method):
+        rng = np.random.default_rng(2)
+        labels = [i % 3 for i in range(45)]
+        features = np.array(labels, dtype=float)[:, None] + rng.random((45, 2))
+        codes = self.run(tmp_path, features, labels, "--method", method, "--bits", "1",
+                         "--anchors", "15")
+        assert codes.shape == (45, 1) and len(np.unique(codes)) == 2
 
 
 class TestLinearize:
@@ -372,7 +444,7 @@ class TestBlasThreads:
         assert outputs[1] == outputs[2] == outputs[4]
 
     def test_em_splh_outputs_identical_across_openblas_thread_counts(self, tmp_path):
-        """The homogeneous solve over the dense 1000-by-1000 similarity."""
+        """The homogeneous solve over the 4-by-4 matrix of the four classes."""
         outputs = self.outputs_per_thread_count(tmp_path, "em-splh")
         assert outputs[1] == outputs[2] == outputs[4]
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -31,6 +31,7 @@ from oracles import (
     check_signs_isin,
     label_similarity,
     load_feature_csv_per_field,
+    text_codes_joined,
     text_codes_per_token,
 )
 
@@ -396,29 +397,83 @@ class TestSimilarityBlock:
 
 class TestAnchorSampling:
     def test_full_sampling_is_square(self):
+        """With every point an anchor, the view is the square similarity, factored."""
         dataset = Dataset(np.zeros((6, 1)), [0, 1, 0, 1, 0, 1])
         view, order = sample_similarity_columns(dataset, 6, seed=3)
-        assert view.s.shape == (6, 6)
+        assert (view.n, view.m) == (6, 6) and view.s.shape == (2, 6)
         assert sorted(order.tolist()) == list(range(6))
         reordered = [dataset.labels[k] for k in order]
-        np.testing.assert_array_equal(view.s, full_similarity(reordered))
+        np.testing.assert_array_equal(view.s[view.groups], full_similarity(reordered))
 
     def test_seed_reproducibility(self):
         dataset = Dataset(np.zeros((30, 1)), [i % 3 for i in range(30)])
         view1, order1 = sample_similarity_columns(dataset, 10, seed=9)
         view2, order2 = sample_similarity_columns(dataset, 10, seed=9)
         assert view1.s.tobytes() == view2.s.tobytes()
+        np.testing.assert_array_equal(view1.groups, view2.groups)
         np.testing.assert_array_equal(order1, order2)
 
     def test_anchor_diagonal_is_self_similar(self):
         dataset = Dataset(np.zeros((20, 1)), [i % 4 for i in range(20)])
         view, _ = sample_similarity_columns(dataset, 8, seed=5)
-        np.testing.assert_array_equal(np.diag(view.s[:8, :8]), np.ones(8, dtype=np.int8))
+        anchor_rows = view.s[view.groups[:8]]
+        np.testing.assert_array_equal(np.diag(anchor_rows), np.ones(8, dtype=np.int8))
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 5), min_size=1, max_size=40),
+            st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=3), min_size=1,
+                     max_size=40),
+            st.lists(st.none(), min_size=1, max_size=40),
+            st.lists(LABELS, min_size=1, max_size=40),
+        ),
+        st.data(),
+    )
+    def test_factored_view_matches_the_block_of_the_ordered_labels(self, labels, data):
+        m = data.draw(st.integers(1, len(labels)))
+        view, order = sample_similarity_columns(
+            Dataset(np.zeros((len(labels), 1)), labels), m, data.draw(st.integers(0, 9))
+        )
+        ordered = [labels[k] for k in order]
+        expected = similarity_block(index_labels(ordered), index_labels(ordered[:m]))
+        assert view.s.dtype == np.int8 and view.groups.dtype == np.intp
+        assert view.s.shape == (len(set(labels)), m)
+        np.testing.assert_array_equal(view.s[view.groups], expected)
+
+    def test_anchors_without_labels_observe_nothing(self):
+        labels = [None] * 5 + [0, 1, 0, 1, 2]
+        view, order = sample_similarity_columns(Dataset(np.zeros((10, 1)), labels), 5, seed=0)
+        ordered = [labels[k] for k in order]
+        expected = similarity_block(index_labels(ordered), index_labels(ordered[:5]))
+        np.testing.assert_array_equal(view.s[view.groups], expected)
 
     def test_too_many_anchors(self):
         dataset = Dataset(np.zeros((4, 1)), [0, 1, 0, 1])
         with pytest.raises(ValueError):
             sample_similarity_columns(dataset, 5, seed=0)
+
+
+class TestGrouping:
+    def test_labels_numbered_by_first_appearance(self):
+        labels = [3, None, frozenset({1, 2}), 3, None, frozenset({2, 1}), frozenset({3})]
+        groups, distinct = dataio.group_labels(labels)
+        assert groups.dtype == np.intp
+        assert groups.tolist() == [0, 1, 2, 0, 1, 2, 3]
+        assert distinct == [3, None, frozenset({1, 2}), frozenset({3})]
+
+    def test_empty_label_list(self):
+        groups, distinct = dataio.group_labels([])
+        assert groups.shape == (0,) and distinct == []
+
+    @given(arrays(np.int8, st.tuples(st.integers(0, 20), st.integers(1, 4)),
+                  elements=st.sampled_from([-1, 0, 1])))
+    def test_rows_grouped_by_value(self, block):
+        groups, first = dataio.group_rows(block)
+        np.testing.assert_array_equal(block[first][groups], block)
+        assert len(first) == len({row.tobytes() for row in block})
+        np.testing.assert_array_equal(first, np.sort(first))
+        np.testing.assert_array_equal(groups[first], np.arange(len(first)))
 
 
 class TestCodeFiles:
@@ -468,6 +523,17 @@ class TestCodeFiles:
         back = read_codes(path, "text")
         assert back.dtype == np.int8
         np.testing.assert_array_equal(back, codes)
+
+    @settings(deadline=None)
+    @given(rows=st.integers(0, 600), bits=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    @example(rows=0, bits=1, seed=0)
+    @example(rows=1, bits=1, seed=0)
+    @example(rows=2 * 256 + 1, bits=1, seed=1)
+    def test_text_bytes_match_the_joined_string_writer(self, tmp_path_factory, rows, bits, seed):
+        codes = np.random.default_rng(seed).choice([-1, 1], size=(rows, bits)).astype(np.int8)
+        path = tmp_path_factory.mktemp("codes") / "codes.txt"
+        write_codes(path, codes, "text")
+        assert path.read_bytes() == text_codes_joined(codes).encode()
 
     def test_text_errors_name_the_first_bad_line(self, tmp_path):
         path = tmp_path / "codes.txt"

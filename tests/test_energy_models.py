@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,13 @@ from hypothesis.extra.numpy import arrays
 
 from emhash import energy_models
 from emhash.codec import round_codes
-from emhash.dataio import full_similarity
+from emhash.dataio import (
+    Dataset,
+    full_similarity,
+    group_labels,
+    group_rows,
+    sample_similarity_columns,
+)
 from emhash.energy_models import (
     _ROW_BLOCK,
     _ksh_coupling,
@@ -45,7 +52,12 @@ from emhash.mean_field import (
     solve_homogeneous,
     solve_row_system,
 )
-from oracles import homogeneous_dense, ksh_train_rebuilding_rows, lfh_system_pinned
+from oracles import (
+    homogeneous_dense,
+    ksh_train_rebuilding_rows,
+    lfh_system_pinned,
+    splh_system_dense,
+)
 
 LIN = fit_linearization(2.0)
 
@@ -69,6 +81,19 @@ def two_class_similarity(rng, n):
     labels[0], labels[1] = 0, 1
     s = np.where(labels[:, None] == labels[None, :], 1, -1).astype(np.int8)
     return s, labels
+
+
+def factored(sim_full):
+    """``(groups, sigma, sizes)`` of a dense symmetric similarity."""
+    s = np.asarray(sim_full, dtype=np.int8)
+    groups, first = group_rows(s)
+    return groups, s[np.ix_(first, first)], np.bincount(groups)
+
+
+def expanded_direction(sim_full):
+    """The unit direction em-splh solves for, on the label-set system, expanded to the points."""
+    groups, sigma, sizes = factored(sim_full)
+    return (solve_homogeneous(splh_system(sigma, sizes, 2.0), LIN) / np.sqrt(sizes))[groups]
 
 
 def ksh_system_oracle(phi_block, s, i, bits):
@@ -387,6 +412,27 @@ class TestKshSweepMatchesRowBuild:
     def test_every_row_system_matches_a_fresh_build(self, instance):
         assert max(ksh_sweep_gaps(*instance)) <= 1e-12
 
+    def test_row_spanning_rounding_only_is_not_stretched(self):
+        """m=8, bits=5, half_range 1.418, marginals mostly 0.  In the first sweep
+        one row's evidence is the ~1e-11 residue of a cancelling sum, so its v'
+        spans 3.9e-12; stretched onto the fit interval, that rounding put the two
+        paths 1.0e-2 apart after sweep 1 and 2.9e-2 after sweep 2."""
+        phi = np.zeros((8, 5))
+        phi[0, 3], phi[0, 4], phi[5, 0] = 1.0, 0.5, 0.060944592497337635
+        s = np.array([
+            [1, 1, 0, 0, -1, 0, 1, 0], [1, -1, -1, 1, -1, 0, 1, 0],
+            [-1, 1, 1, 0, 1, 1, -1, 0], [-1, 0, -1, -1, 0, 1, 1, 0],
+            [-1, 1, -1, 1, 1, 1, -1, -1], [1, 0, 0, -1, 1, 0, 0, -1],
+            [-1, 0, 0, 0, 1, 0, -1, 1], [0, 1, 0, -1, 0, 1, -1, 0],
+        ], dtype=np.int8)
+        view, lin = SimilarityView(s=s), linearization(1.418)
+        swept, rebuilt = phi.copy(), phi.copy()
+        for _ in range(2):
+            energy_models._ksh_sweep(swept, view, lin)
+            for i in range(view.m):
+                rebuilt[i] = solve_row_system(ksh_anchor_system(rebuilt, view, i, 1.418), lin)
+            assert np.max(np.abs(swept - rebuilt)) <= 1e-12
+
     def test_anchor_sweep_shape_matches_per_row_rebuilds(self):
         rng = np.random.default_rng(43)
         n, m, bits = 3000, 800, 64
@@ -405,10 +451,16 @@ class TestKshSweepMatchesRowBuild:
 
 class TestSplh:
     def test_evidence_is_exactly_zero(self):
-        s = random_full_similarity(np.random.default_rng(11), 5)
-        sys = splh_system(s, 2.0)
-        assert np.all(sys.b == 0.0)
-        np.testing.assert_array_equal(sys.a, s.astype(float))
+        """The label-set system has zero evidence, and its matrix is S on the groups
+        weighted by the square roots of the group sizes."""
+        # Tag sets {2} and {2, 3} meet the same points here, so share a group.
+        s = full_similarity([0, 1, frozenset({2}), 1, None, frozenset({2, 3}), 0])
+        groups, sigma, sizes = factored(s)
+        sys = splh_system(sigma, sizes, 2.0)
+        assert sizes.tolist() == [2, 2, 2, 1] and np.all(sys.b == 0.0)
+        np.testing.assert_array_equal(sigma[np.ix_(groups, groups)], s)
+        np.testing.assert_allclose(sys.a, sigma * np.sqrt(np.outer(sizes, sizes)), rtol=1e-15)
+        assert sys.scale == splh_system_dense(s, 2.0).scale
 
     def test_two_block_pattern_splits(self):
         """The homogeneous direction of a two-block similarity is block-constant."""
@@ -429,8 +481,12 @@ class TestSplh:
 
     def test_homogeneous_path_composition(self):
         s = random_full_similarity(np.random.default_rng(37), 6)
-        sys = splh_system(s, 2.0)
-        expected = renormalize_and_squash(solve_homogeneous(sys, LIN), sys.b, sys.scale, 2.0)
+        groups, sigma, sizes = factored(s)
+        sys = splh_system(sigma, sizes, 2.0)
+        v = expanded_direction(s)
+        lead = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
+        v = v if v[lead] > 0.0 else -v
+        expected = renormalize_and_squash(v, np.zeros_like(v), sys.scale, 2.0)
         phi = em_splh_train(s, TrainConfig(bits=3, sweeps=1, seed=0), LIN)
         for k in range(3):
             np.testing.assert_array_equal(phi[:, k], expected)
@@ -472,9 +528,13 @@ class TestSplh:
             em_splh_train(np.zeros((4, 4)), TrainConfig(bits=2, sweeps=1, seed=0), LIN)
 
     def test_dense_solve_size_guard(self):
-        s = np.ones((5001, 5001), dtype=np.int8)
-        with pytest.raises(ValueError, match="at most"):
-            em_splh_train(s, TrainConfig(bits=1, sweeps=1, seed=0), LIN)
+        """The cap counts distinct rows (label sets), not points."""
+        cfg = TrainConfig(bits=1, sweeps=1, seed=0)
+        s = 2 * np.eye(5001, dtype=np.int8) - 1
+        with pytest.raises(ValueError, match="at most 5000 distinct label sets, got 5001"):
+            em_splh_train(s, cfg, LIN)
+        phi = em_splh_train(np.ones((5001, 5001), dtype=np.int8), cfg, LIN)
+        np.testing.assert_array_equal(phi, 0.5)  # one group: a constant direction
 
 
 # Tolerances of the Lanczos path against the dense oracle, fixed before
@@ -521,14 +581,17 @@ class TestSplhLanczos:
     @example([frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), None])
     def test_matches_dense_rule_on_label_lists(self, labels):
         assume(any(label is not None for label in labels))
-        sys = splh_system(full_similarity(labels), 2.0)
+        sim = full_similarity(labels)
+        sys = splh_system_dense(sim, 2.0)
         norm = float(np.abs(sys.a).sum(axis=1).max())
         spectrum, vectors, chosen = homogeneous_dense(sys, LIN)
         values, _ = extremal_eigenpairs(sys.a)
         assert abs(values[0] - spectrum[0]) <= EIGENVALUE_TOL * norm
         assert abs(values[1] - spectrum[-1]) <= EIGENVALUE_TOL * norm
 
-        v = solve_homogeneous(sys, LIN)
+        # em-splh's label-set solve, expanded to the points, is the dense rule's vector.
+        v = expanded_direction(sim)
+        assert abs(float(v @ v) - 1.0) <= 1e-12
         assert abs(float(v @ sys.a @ v) - spectrum[chosen]) <= EIGENVALUE_TOL * norm
         cluster = np.abs(spectrum - spectrum[chosen]) <= CLUSTER_TOL * norm
         gap = np.min(np.abs(spectrum[~cluster] - spectrum[chosen]), initial=np.inf)
@@ -545,7 +608,7 @@ class TestSplhLanczos:
         labels = [int(c) for c in np.random.default_rng(1).integers(0, 10, 1500)]
         sim = full_similarity(labels)
         codes, _ = round_codes(em_splh_train(sim, TrainConfig(bits=32, sweeps=1), LIN))
-        sys = splh_system(sim, 2.0)
+        sys = splh_system_dense(sim, 2.0)
         _, vectors, chosen = homogeneous_dense(sys, LIN)
         column = renormalize_and_squash(vectors[:, chosen], sys.b, sys.scale, 2.0)
         expected, _ = round_codes(np.repeat(column[:, None], 32, axis=1))
@@ -553,15 +616,16 @@ class TestSplhLanczos:
         assert 0 < np.count_nonzero(codes[:, 0] > 0) < 1500
 
     def test_em_splh_never_calls_dense_eigh(self, monkeypatch):
-        """Lanczos eigendecomposes only its k-by-k tridiagonals, never S itself."""
+        """Lanczos on the 5-by-5 label-set system eigendecomposes only its k-by-k
+        tridiagonals, k <= 5, never S itself."""
         shapes = recorded_eigh_shapes(monkeypatch)
         labels = [int(c) for c in np.random.default_rng(2).integers(0, 5, 200)]
         sim = full_similarity(labels)
         em_splh_train(sim, TrainConfig(bits=4, sweeps=1), LIN)
         assert shapes
-        assert all(rows == cols < 200 for rows, cols in shapes)
+        assert all(rows == cols <= 5 for rows, cols in shapes)
         shapes.clear()
-        homogeneous_dense(splh_system(sim, 2.0), LIN)  # the recorder does see a dense solve
+        homogeneous_dense(splh_system_dense(sim, 2.0), LIN)  # the recorder sees a dense solve
         assert shapes == [(200, 200)]
 
     def test_long_run_is_thread_invariant_and_matches_dense(self, tmp_path, monkeypatch):
@@ -577,7 +641,7 @@ class TestSplhLanczos:
             frozenset(rng.choice(40, size=int(rng.integers(1, 4)), replace=False).tolist())
             for _ in range(1500)
         ]
-        system = splh_system(full_similarity(labels), 2.0)
+        system = splh_system_dense(full_similarity(labels), 2.0)
         matrix = tmp_path / "a.npy"
         np.save(matrix, system.a)
         source = str(Path(energy_models.__file__).resolve().parents[1])
@@ -617,21 +681,36 @@ class TestSplhLanczos:
         np.testing.assert_array_equal(
             em_splh_train(sim, cfg, LIN), em_splh_train(sim.astype(float), cfg, LIN)
         )
-        int_sys, float_sys = splh_system(sim, 2.0), splh_system(sim.astype(float), 2.0)
-        assert int_sys.scale == float_sys.scale == build_scale(float_sys.a, float_sys.b, 2.0)
+        _, sigma, sizes = factored(sim)
+        int_sys = splh_system(sigma, sizes, 2.0)
+        float_sys = splh_system(sigma.astype(float), sizes, 2.0)
+        dense = splh_system_dense(sim.astype(float), 2.0)
+        assert int_sys.scale == float_sys.scale == build_scale(dense.a, dense.b, 2.0)
         np.testing.assert_array_equal(int_sys.a, float_sys.a)
 
     def test_splh_system_checks_and_messages(self):
+        ones = np.ones(2, dtype=np.intp)
         with pytest.raises(ValueError, match="must be square"):
-            splh_system(np.ones((2, 3), dtype=np.int8))
+            splh_system(np.ones((2, 3), dtype=np.int8), ones)
         with pytest.raises(ValueError, match="must be symmetric"):
-            splh_system(np.array([[1, 1], [0, 1]], dtype=np.int8))
+            splh_system(np.array([[1, 1], [0, 1]], dtype=np.int8), ones)
         with pytest.raises(ValueError, match="entries must be -1, 0 or \\+1"):
-            splh_system(np.array([[1, 2], [2, 1]], dtype=np.int8))
+            splh_system(np.array([[1, 2], [2, 1]], dtype=np.int8), ones)
         with pytest.raises(ValueError, match="entries must be -1, 0 or \\+1"):
-            splh_system(np.array([[1.0, 0.5], [0.5, 1.0]]))
+            splh_system(np.array([[1.0, 0.5], [0.5, 1.0]]), ones)
         with pytest.raises(ValueError, match="half_range must be positive"):
-            splh_system(np.eye(2, dtype=np.int8), 0.0)
+            splh_system(np.eye(2, dtype=np.int8), ones, 0.0)
+        for sizes in (np.array([1, 0]), np.array([1.0, 1.0]), np.ones(3, dtype=np.intp)):
+            with pytest.raises(ValueError, match="positive integer group size"):
+                splh_system(np.eye(2, dtype=np.int8), sizes)
+        # The dense entry point checks its matrix before factoring it.
+        cfg = TrainConfig(bits=1)
+        with pytest.raises(ValueError, match="must be square"):
+            em_splh_train(np.ones((2, 3), dtype=np.int8), cfg, LIN)
+        with pytest.raises(ValueError, match="must be symmetric"):
+            em_splh_train(np.array([[1, 1], [0, 1]], dtype=np.int8), cfg, LIN)
+        with pytest.raises(ValueError, match="entries must be -1, 0 or \\+1"):
+            em_splh_train(np.array([[1, 2], [2, 1]], dtype=np.int8), cfg, LIN)
 
 
 def traced_peak(fn, *args):
@@ -645,7 +724,7 @@ def traced_peak(fn, *args):
 
 
 class TestInt8Blocks:
-    """Training holds each similarity block once, as int8."""
+    """Training holds each similarity block once, as int8, and never point by point."""
 
     @pytest.mark.parametrize(
         "bad",
@@ -663,33 +742,96 @@ class TestInt8Blocks:
         with pytest.raises(ValueError, match="^similarity entries must be -1, 0 or \\+1$"):
             SimilarityView(s=bad)
         with pytest.raises(ValueError, match=splh_message):
-            splh_system(bad)
+            splh_system(bad, np.ones(2, dtype=np.intp))
+        with pytest.raises(ValueError, match=splh_message):
+            em_splh_train(bad, TrainConfig(bits=1), LIN)
 
     def test_bool_block_reads_as_zero_and_one(self):
-        view = SimilarityView(s=np.array([[True], [False]]))
-        assert view.s.dtype == np.int8
-        np.testing.assert_array_equal(view.s, [[1], [0]])
+        view = SimilarityView(s=np.array([[True], [False], [True]]))
+        assert view.s.dtype == np.int8 and view.s.shape == (2, 1)
+        np.testing.assert_array_equal(view.s[view.groups], [[1], [0], [1]])
 
-    def test_view_keeps_an_int8_block_and_allocates_under_one_percent_of_it(self):
-        labels = np.random.default_rng(8).integers(0, 12, size=3000)
-        block = np.where(labels[:, None] == labels[None, :800], 1, -1).astype(np.int8)
-        view, peak = traced_peak(SimilarityView, block)
-        assert view.s is block
-        assert peak < 0.01 * block.nbytes
+    def test_sampling_and_training_stay_under_a_quarter_of_n_by_m(self):
+        """Anchor sampling and em-ksh training on 8000 class-labelled points
+        against 200 anchors (2 bits, so the 128 KB of soft codes stay small)
+        allocate under a quarter of the 1.6 MB a points-by-anchors int8 block
+        would take: the view is 8000 group ids and a 16-by-200 block."""
+        n, m = 8000, 200
+        labels = [int(c) for c in np.random.default_rng(8).integers(0, 16, size=n)]
+        dataset = Dataset(np.zeros((n, 1)), labels)
+        cfg = TrainConfig(bits=2, sweeps=1, seed=1)
 
-    def test_splh_system_holds_the_int8_matrix(self):
-        sim = full_similarity([int(c) for c in np.random.default_rng(9).integers(0, 4, 40)])
-        assert splh_system(sim).a is sim
-        assert splh_system(sim.astype(float)).a.dtype == np.int8
+        def sample_and_train():
+            view, _ = sample_similarity_columns(dataset, m, seed=1)
+            return view, em_ksh_train(view, cfg, LIN)
+
+        sample_and_train()  # first calls allocate their caches outside the measurement
+        (view, phi), peak = traced_peak(sample_and_train)
+        assert view.s.shape == (16, m) and view.s.dtype == np.int8
+        assert phi.shape == (n, 2)
+        assert peak < 0.25 * n * m
+
+    def test_splh_system_holds_the_label_set_matrix(self):
+        """The system em-splh solves is u-by-u whatever the point count."""
+        for n in (40, 4000):
+            labels = [int(c) for c in np.random.default_rng(9).integers(0, 4, n)]
+            groups, distinct = group_labels(labels)
+            sys = splh_system(full_similarity(distinct), np.bincount(groups))
+            assert sys.a.shape == (4, 4) and sys.a.dtype == np.float64
 
     def test_em_splh_train_peak_at_1500_points(self):
-        """The Lanczos solve multiplies the int8 matrix itself: no n-by-n float64."""
+        """A dense input is factored by its rows; nothing n-by-n is widened to float64."""
         labels = [int(c) for c in np.random.default_rng(10).integers(0, 10, 1500)]
         sim = full_similarity(labels)
         cfg = TrainConfig(bits=32, sweeps=1)
         phi, peak = traced_peak(em_splh_train, sim, cfg, LIN)
         assert len(set(map(tuple, round_codes(phi)[0]))) > 1
         assert peak <= 4 * 2**20
+
+
+class TestSplhAtScale:
+    """em-splh on 50,000 class-labelled points, ten times the old n-by-n budget."""
+
+    # Class sizes 2750, 3250, ..., 7250: unequal, so the chosen eigenvector
+    # is not constant, and each a multiple of 50, so a 1-in-50 subsample
+    # keeps every class's share.
+    SIZES = 2750 + 500 * np.arange(10)
+
+    def labels(self):
+        classes = np.repeat(np.arange(10), self.SIZES)
+        return np.random.default_rng(3).permutation(classes)
+
+    def test_trains_within_time_and_memory_and_matches_the_dense_subsample(self):
+        classes = self.labels()
+        labels = classes.tolist()
+        cfg = TrainConfig(bits=4)
+
+        def train():
+            groups, distinct = group_labels(labels)
+            return em_splh_train((groups, full_similarity(distinct)), cfg, LIN)
+
+        train()
+        start = time.perf_counter()
+        phi, peak = traced_peak(train)
+        elapsed = time.perf_counter() - start
+        # Bounds: 1 s (6 ms measured on a 2-vCPU machine) and 4 MB (2.0 MB measured), where
+        # the soft codes take 1.6 MB and an n-by-n int8 matrix would take 2.5 GB.
+        assert elapsed < 1.0
+        assert peak < 4 * 2**20
+        codes, _ = round_codes(phi)
+        assert 0 < np.count_nonzero(codes[:, 0] > 0) < len(labels)
+
+        # The first 1/50 of each class, in point order: the same class shares,
+        # so the same soft codes, and the same first point for the sign.
+        keep = np.sort(np.concatenate([
+            np.flatnonzero(classes == c)[: size // 50] for c, size in enumerate(self.SIZES)
+        ]))
+        assert keep[0] == 0 and len(keep) == 1000
+        sys = splh_system_dense(full_similarity(classes[keep].tolist()), LIN.half_range)
+        _, vectors, chosen = homogeneous_dense(sys, LIN)
+        column = renormalize_and_squash(vectors[:, chosen], sys.b, sys.scale, LIN.half_range)
+        np.testing.assert_allclose(phi[keep, 0], column, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(codes[keep], round_codes(np.repeat(column[:, None], 4, 1))[0])
 
 
 class TestLfh:
