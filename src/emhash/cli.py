@@ -248,6 +248,12 @@ def run_train(cfg: RunConfig) -> int:
         if anchors > dataset.n:
             raise CliError(f"anchor count {anchors} exceeds point count {dataset.n}")
         view, order = dataio.sample_similarity_columns(dataset, anchors, cfg["seed"])
+        if all(dataset.labels[k] is None for k in order[:anchors]):
+            print(
+                f"{method}: 0 of {anchors} anchors are labeled; every similarity to an "
+                "anchor is unobserved, so every code is uninformative (all +1)",
+                file=sys.stderr,
+            )
         trainer = em_ksh_train if method == "em-ksh" else em_lfh_train
         phi = trainer(view, tcfg, lin)[np.argsort(order)]
     train_seconds = time.perf_counter() - train_start

@@ -354,7 +354,11 @@ def sample_similarity_columns(dataset: Dataset, m: int, seed: int):
         raise ValueError(f"anchor count must lie in [1, {n}], got {m}")
     groups, distinct = group_labels(dataset.labels)
     if len(distinct) * m > MAX_DENSE_ENTRIES:
-        raise ValueError("similarity view would exceed the dense budget")
+        raise ValueError(
+            f"similarity view of {len(distinct)} distinct label sets by {m} anchors "
+            f"({len(distinct) * m:,} entries) would exceed the dense budget of "
+            f"{MAX_DENSE_ENTRIES:,} entries"
+        )
     rng = np.random.default_rng(seed)
     anchors = np.sort(rng.choice(n, size=m, replace=False))
     rest = np.setdiff1d(np.arange(n), anchors, assume_unique=True)

@@ -29,7 +29,12 @@ system and in the tail's evidence gain (see :func:`em_lfh_train`).  A ksh
 sweep never rebuilds a row's coupling from the other anchors: it forms the
 Gram of the anchor codes once per sweep and, after each row, applies that
 row's change as a rank-2 update, so a row costs O(bits^2) on top of its
-evidence and its solve.
+evidence and its solve.  Neither sweep re-validates what it builds: each
+checks the linearization once, builds every row's system in bits-by-bits
+buffers shared by all its rows, and hands it to the unchecked row kernel
+:func:`~emhash.mean_field.solve_row`.  A row's cost is then its arithmetic:
+the O(m * bits) evidence product, the O(bits^3) LU solve and O(bits^2)
+element-wise work, with no casts, symmetry scans or condition checks.
 """
 
 from __future__ import annotations
@@ -44,13 +49,15 @@ from .mean_field import (
     LinearizedSigmoid,
     RowSystem,
     build_scale,
+    check_condition,
     is_exactly_symmetric,
     make_system,
     renormalize_and_squash,
+    row_scale,
     sigmoid,
     solve_affine,  # noqa: F401 -- alias the benchmark's tracer smoke test wraps and restores
     solve_homogeneous,
-    solve_row_system,
+    solve_row,
 )
 
 __all__ = [
@@ -124,8 +131,12 @@ def eigendecompose_shared(a: np.ndarray) -> SharedEig:
 
 
 def _mirror_upper(g: np.ndarray) -> np.ndarray:
-    # Exact symmetry by construction: the upper triangle is canonical.
-    return np.triu(g) + np.triu(g, 1).T
+    # Exact symmetry by construction: the upper triangle is canonical.  In
+    # place; adding 0.0 gives the entries of triu(g) + triu(g, 1).T exactly,
+    # signed zeros included.
+    g += 0.0
+    np.copyto(g, g.T, where=np.tri(len(g), k=-1, dtype=bool))
+    return g
 
 
 def _ksh_coupling(x: np.ndarray) -> np.ndarray:
@@ -230,7 +241,7 @@ def ksh_tail_pass(
     are computed once; each block of ``_ROW_BLOCK`` rows of ``sim.s`` gets
     its linear terms and scales from :func:`ksh_tail_systems` at evidence
     ``gain``, and every tail row then takes its group's solution.
-    Dispatches like :func:`~emhash.mean_field.solve_row_system`: rows without
+    Dispatches like :func:`~emhash.mean_field.solve_row`: rows without
     evidence stay at 0.5 and a zero shared matrix gives ``sigmoid(b / scale)``.
     """
     m = sim.m
@@ -283,6 +294,13 @@ def _train(
     return phi
 
 
+def _check_sweep(lin: LinearizedSigmoid) -> None:
+    # The one check of a sweep: its rows are built correct by construction
+    # and go to the unchecked row kernel.
+    if not check_condition(lin):
+        raise ValueError("linearization violates the solvability condition")
+
+
 def _ksh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> None:
     """One sequential squared-fit sweep over the anchor rows ``phi``, in place.
 
@@ -292,30 +310,57 @@ def _ksh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> 
     ``outer(x_i, x_i) - G`` with a zero diagonal, exactly symmetric because
     each term is, and the linear term is ``bits * (s_i @ X - s_ii * x_i)``.
     Once the row is solved, the rank-2 update ``G += outer(x_i', x_i') -
-    outer(x_i, x_i)`` brings the Gram up to date for the next row.
+    outer(x_i, x_i)`` brings the Gram up to date for the next row.  Each
+    row is built in bits-by-bits buffers shared by all rows, with
+    :func:`~emhash.mean_field.make_system`'s arithmetic, and goes straight
+    to :func:`~emhash.mean_field.solve_row`.
     """
+    _check_sweep(lin)
     m, bits = phi.shape
     x = 2.0 * phi - 1.0
     g = _mirror_upper(x.T @ x)
+    own, a, work = np.empty((3, bits, bits))
+    diagonal = a.reshape(-1)[:: bits + 1]
     for i in range(m):
-        own = np.outer(x[i], x[i])
-        a = own - g
-        np.fill_diagonal(a, 0.0)
+        np.multiply.outer(x[i], x[i], out=own)
+        np.subtract(own, g, out=a)
+        diagonal[:] = 0.0
         s_row = sim.s[sim.groups[i]].astype(float)
         b = float(bits) * (s_row @ x - s_row[i] * x[i])
-        phi[i] = solve_row_system(make_system(a, b, lin.half_range), lin)
+        scale, a_max = row_scale(a, b, lin.half_range, work)
+        phi[i] = solve_row(a, b, scale, lin, a_max)
         x[i] = 2.0 * phi[i] - 1.0
-        g += np.outer(x[i], x[i]) - own
+        np.multiply.outer(x[i], x[i], out=work)
+        work -= own
+        g += work
 
 
 def _lfh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> None:
     """One sequential logistic sweep over the anchor rows ``phi``, in place.
 
     Each row's pair weights depend on its own codes, so there is no Gram to
-    share between rows: every row builds its :func:`lfh_system` afresh.
+    share between rows: every row builds its :func:`lfh_system` afresh, with
+    the same arithmetic but into buffers shared by all rows, and goes
+    straight to :func:`~emhash.mean_field.solve_row`.  The other anchors'
+    codes sit in one (m-1)-row buffer: row i's differs from row i-1's only
+    in slot i-1, which takes row i-1's new codes.
     """
-    for i in range(sim.m):
-        phi[i] = solve_row_system(lfh_system(phi, sim, i, lin.half_range), lin)
+    _check_sweep(lin)
+    m, bits = phi.shape
+    x = 2.0 * phi - 1.0
+    others = x[1:].copy()
+    weighted = np.empty_like(others)
+    s_others = np.empty(m - 1)
+    work = np.empty((bits, bits))
+    for i in range(m):
+        if i:
+            others[i - 1] = x[i - 1]
+        s_row = sim.s[sim.groups[i]]
+        s_others[:i], s_others[i:] = s_row[:i], s_row[i + 1 :]
+        a, b = _lfh_build(others, s_others, np.abs(others @ x[i]), weighted)
+        scale, a_max = row_scale(a, b, lin.half_range, work)
+        phi[i] = solve_row(a, b, scale, lin, a_max)
+        x[i] = 2.0 * phi[i] - 1.0
 
 
 def em_ksh_train(sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid) -> np.ndarray:
@@ -427,14 +472,15 @@ def variational_weight(xi: np.ndarray | float) -> np.ndarray:
 
 
 def _lfh_build(
-    x_others: np.ndarray, s_row: np.ndarray, xi: np.ndarray, half_range: float
-) -> RowSystem:
-    # The logistic system of one row against ``x_others``, pair j pivoted at xi[j].
+    x_others: np.ndarray, s_row: np.ndarray, xi: np.ndarray, weighted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # The logistic (a, b) of one row against ``x_others``, pair j pivoted at
+    # xi[j]; ``weighted`` is a buffer of x_others' shape.
     w = 4.0 * variational_weight(xi)
-    a = _mirror_upper((x_others * w[:, None]).T @ x_others)
+    np.multiply(x_others, w[:, None], out=weighted)
+    a = _mirror_upper(weighted.T @ x_others)
     np.fill_diagonal(a, 0.0)
-    b = x_others.T @ s_row
-    return make_system(a, b, half_range)
+    return a, x_others.T @ s_row
 
 
 def lfh_system(
@@ -459,7 +505,8 @@ def lfh_system(
     x = 2.0 * phi[:m] - 1.0
     others = np.delete(x, anchor, axis=0)
     s_row = np.delete(sim.s[sim.groups[anchor]].astype(float), anchor)
-    return _lfh_build(others, s_row, np.abs(others @ x[anchor]), half_range)
+    a, b = _lfh_build(others, s_row, np.abs(others @ x[anchor]), np.empty_like(others))
+    return make_system(a, b, half_range)
 
 
 def em_lfh_train(sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid) -> np.ndarray:

@@ -17,7 +17,16 @@ matrix, which a Lanczos solve finds without forming the whole spectrum: its
 n-length products are ``einsum`` and its k-by-k tridiagonal goes to LAPACK
 ``eigh``, so the whole module needs numpy only.
 
-Everything here is pure: no function mutates its inputs, and
+One row goes through one kernel, :func:`solve_row`: uninformative 0.5, the
+explicit sigmoid, or the affine closed form and its squash.  It checks
+nothing, so a sweep that builds its rows correct by construction pays for no
+validation per row (:func:`row_scale` gives it the scale and the ``A ~ 0``
+test from one ``|a|``).  The validated entries :func:`solve_row_system`,
+:func:`solve_affine` and :func:`renormalize_and_squash` check their inputs,
+then run the kernel's own arithmetic; no step is written twice.
+
+Everything here is pure: no function mutates its inputs (:func:`row_scale`
+writes only the buffer it is handed for that), and
 :class:`LinearizedSigmoid` / :class:`RowSystem` are immutable, so independent
 solves can run concurrently without coordination.
 """
@@ -37,11 +46,13 @@ __all__ = [
     "fit_linearization",
     "check_condition",
     "build_scale",
+    "row_scale",
     "is_exactly_symmetric",
     "solve_affine",
     "extremal_eigenpairs",
     "solve_homogeneous",
     "renormalize_and_squash",
+    "solve_row",
     "solve_row_system",
 ]
 
@@ -93,7 +104,8 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray:
     """Numerically stable logistic function 1 / (1 + exp(-x))."""
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)
@@ -199,8 +211,25 @@ def build_scale(a: np.ndarray, b: np.ndarray, half_range: float) -> float | np.n
         raise ValueError(f"vector length {b.shape} does not match matrix {a.shape}")
     if half_range <= 0.0:
         raise ValueError(f"half_range must be positive, got {half_range}")
-    scales = np.max(np.abs(a).sum(axis=1) + np.abs(b), axis=-1) / half_range
+    scales = _scales(np.abs(a), b, half_range)
     return float(scales) if b.ndim == 1 else scales
+
+
+def _scales(abs_a: np.ndarray, b: np.ndarray, half_range: float) -> np.ndarray:
+    return (abs_a.sum(axis=1) + np.abs(b)).max(axis=-1) / half_range
+
+
+def row_scale(
+    a: np.ndarray, b: np.ndarray, half_range: float, work: np.ndarray
+) -> tuple[float, float]:
+    """One row's :func:`build_scale` value and its largest ``|a[k, j]|``, unchecked.
+
+    Both come from one ``|a|``, written into ``work`` (a float64 buffer of
+    a's shape, which a sweep reuses across rows); the second is the value
+    :func:`solve_row` tests for ``A ~ 0``.
+    """
+    np.abs(a, out=work)
+    return float(_scales(work, b, half_range)), float(work.max())
 
 
 def is_exactly_symmetric(a: np.ndarray) -> bool:
@@ -279,11 +308,20 @@ def solve_affine(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
         raise ValueError("affine path requires b != 0; use the homogeneous path")
     if np.max(np.abs(sys.a)) < ZERO_TOL:
         return np.zeros(sys.dim)
-    lhs = sys.scale * np.eye(sys.dim) - 2.0 * lin.slope * sys.a
-    rhs = (2.0 * lin.slope / sys.scale) * (sys.a @ sys.b)
+    return _affine(sys.a, sys.b, sys.scale, lin.slope)
+
+
+def _affine(a: np.ndarray, b: np.ndarray, scale: float, slope: float) -> np.ndarray:
+    # The closed form of solve_affine past its checks.  The left factor is
+    # ``scale * I - 2*slope*A`` entry for entry: 0.0 - 2*slope*a off the
+    # diagonal, then scale added on it.
+    lhs = np.multiply(a, 2.0 * slope)
+    np.subtract(0.0, lhs, out=lhs)
+    lhs.reshape(-1)[:: len(b) + 1] += scale
+    rhs = (2.0 * slope / scale) * (a @ b)
     v = np.linalg.solve(lhs, rhs)
-    residual = np.max(np.abs(lhs @ v - rhs))
-    if residual > RESIDUAL_TOL * max(1.0, np.max(np.abs(rhs))):
+    residual = np.abs(lhs @ v - rhs).max()
+    if residual > RESIDUAL_TOL * max(1.0, np.abs(rhs).max()):
         raise np.linalg.LinAlgError(
             f"affine solve residual {residual:.3e} exceeds tolerance; "
             "system preconditions are likely violated"
@@ -416,7 +454,11 @@ def renormalize_and_squash(
         raise ValueError(f"one scale per row required, got {scale.shape} for {v.shape}")
     if (scale <= 0.0).any():
         raise ValueError("renormalization requires a positive scale")
-    vp = v + b / scale[..., None]
+    return _squash(v + b / scale[..., None], half_range)
+
+
+def _squash(vp: np.ndarray, half_range: float) -> np.ndarray:
+    # renormalize_and_squash past its checks, on v' = v + b / scale.
     lo = vp.min(axis=-1, keepdims=True)
     span = vp.max(axis=-1, keepdims=True) - lo
     # Flat rows stretch by a finite dummy span and are then zeroed: sigmoid(0) = 0.5.
@@ -425,9 +467,16 @@ def renormalize_and_squash(
     return sigmoid(gain * (2.0 * (vp - lo) / np.maximum(span, floor) - 1.0))
 
 
-def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
-    """Solve one consistency system of a supervised energy end to end.
+def solve_row(
+    a: np.ndarray, b: np.ndarray, scale: float, lin: LinearizedSigmoid, a_max: float
+) -> np.ndarray:
+    """The row kernel: solve one consistency system end to end, unchecked.
 
+    ``a`` is the float64 exactly symmetric matrix, ``b`` the float64 vector,
+    ``scale`` their :func:`build_scale` value and ``a_max`` the largest
+    ``|a[k, j]|`` (both from :func:`row_scale`); ``lin`` must satisfy
+    :func:`check_condition`.  Nothing of this is checked here: a sweep
+    builds its rows correct by construction and checks ``lin`` once.
     Dispatch:
 
     * b == 0 (which covers the zero system, ``scale == 0``): no observed
@@ -435,14 +484,26 @@ def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
     * ``A ~ 0`` with b != 0: the consistency equation is already explicit,
       ``sigmoid(b / scale)`` (the scale construction bounds the argument,
       so no re-normalization is needed and none is applied).
-    * otherwise: affine closed-form path, then re-normalize and squash.
+    * otherwise: the affine closed form of :func:`solve_affine`, whose
+      ``RESIDUAL_TOL`` guard still raises ``numpy.linalg.LinAlgError``,
+      then re-normalize and squash as :func:`renormalize_and_squash` does.
 
     Energies that are homogeneous by construction (b == 0 always) take
     :func:`solve_homogeneous` directly instead.
     """
-    if np.max(np.abs(sys.b)) < ZERO_TOL:
-        return np.full(sys.dim, 0.5)
-    if np.max(np.abs(sys.a)) < ZERO_TOL:
-        return sigmoid(sys.b / sys.scale)
-    v = solve_affine(sys, lin)
-    return renormalize_and_squash(v, sys.b, sys.scale, lin.half_range)
+    if np.abs(b).max() < ZERO_TOL:
+        return np.full(len(b), 0.5)
+    if a_max < ZERO_TOL:
+        return sigmoid(b / scale)
+    return _squash(_affine(a, b, scale, lin.slope) + b / scale, lin.half_range)
+
+
+def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
+    """Solve one validated consistency system end to end with :func:`solve_row`.
+
+    :class:`RowSystem` has checked the system; this checks ``lin`` with
+    :func:`check_condition`.
+    """
+    if not check_condition(lin):
+        raise ValueError("linearization violates the solvability condition")
+    return solve_row(sys.a, sys.b, sys.scale, lin, float(np.max(np.abs(sys.a))))

@@ -13,6 +13,11 @@ dense eigensolver, which the two-eigenpair Lanczos path must reproduce, and
 eigenvectors the label-set system's must reproduce once expanded.
 ``lfh_system_pinned`` is the logistic row system with its pair pivots pinned
 at one value, the form that the degeneracy and em-lfh tail checks compare.
+``solve_row_literal`` is the row dispatch written out one numpy expression per
+step, which ``mean_field.solve_row`` reproduces bit for bit with buffers and
+no per-row checks, and ``ksh_sweep_row_systems`` the downdated em-ksh sweep
+with a checked ``RowSystem`` per row, which ``_ksh_sweep`` reproduces bit for
+bit.
 ``check_signs_isin`` is the entry check that ``dataio.check_signs`` makes
 without a whole-array copy, and ``load_feature_csv_per_field`` the feature
 CSV reader that the block parser of ``dataio.load_feature_matrix`` reproduces.
@@ -35,14 +40,17 @@ from emhash.energy_models import (
     SimilarityView,
     TrainConfig,
     _lfh_build,
+    _mirror_upper,
     ksh_anchor_system,
     ksh_tail_pass,
 )
 from emhash.mean_field import (
+    DEGENERATE_SPAN,
     ZERO_TOL,
     LinearizedSigmoid,
     RowSystem,
     build_scale,
+    make_system,
     sigmoid,
     solve_row_system,
 )
@@ -158,6 +166,51 @@ def ksh_train_rebuilding_rows(
     return phi
 
 
+def solve_row_literal(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
+    """One row's marginals by the dispatch of ``mean_field.solve_row``, literally.
+
+    b ~ 0 gives 0.5, A ~ 0 gives ``sigmoid(b / scale)``, and otherwise
+    ``(scale * I - 2*slope*A) v = 2*slope/scale * A @ b`` is solved and
+    ``v + b / scale`` is stretched onto the fit interval and squashed, each
+    step one expression on fresh arrays.  The residual guard is left out: it
+    checks the solve and adds no arithmetic.
+    """
+    if np.max(np.abs(sys.b)) < ZERO_TOL:
+        return np.full(sys.dim, 0.5)
+    if np.max(np.abs(sys.a)) < ZERO_TOL:
+        x = sys.b / sys.scale
+    else:
+        lhs = sys.scale * np.eye(sys.dim) - 2.0 * lin.slope * sys.a
+        rhs = (2.0 * lin.slope / sys.scale) * (sys.a @ sys.b)
+        vp = np.linalg.solve(lhs, rhs) + sys.b / sys.scale
+        lo = np.min(vp)
+        span = np.max(vp) - lo
+        floor = DEGENERATE_SPAN * lin.half_range
+        gain = lin.half_range if span > floor else 0.0
+        x = gain * (2.0 * (vp - lo) / max(span, floor) - 1.0)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def ksh_sweep_row_systems(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> None:
+    """One downdated em-ksh sweep over the anchor rows ``phi``, in place, that
+    bundles each row into a checked ``RowSystem`` (``make_system``) and solves
+    it with ``solve_row_literal``: the same Gram, rank-2 updates and row
+    arithmetic as ``_ksh_sweep``, on fresh arrays."""
+    m, bits = phi.shape
+    x = 2.0 * phi - 1.0
+    g = _mirror_upper(x.T @ x)
+    for i in range(m):
+        own = np.outer(x[i], x[i])
+        a = own - g
+        np.fill_diagonal(a, 0.0)
+        s_row = sim.s[sim.groups[i]].astype(float)
+        b = float(bits) * (s_row @ x - s_row[i] * x[i])
+        phi[i] = solve_row_literal(make_system(a, b, lin.half_range), lin)
+        x[i] = 2.0 * phi[i] - 1.0
+        g += np.outer(x[i], x[i]) - own
+
+
 def lfh_system_pinned(
     phi: np.ndarray, sim: SimilarityView, row: int, half_range: float, xi: float
 ) -> RowSystem:
@@ -172,7 +225,8 @@ def lfh_system_pinned(
     s_row = sim.s[sim.groups[row]].astype(float)
     if row < sim.m:
         x, s_row = np.delete(x, row, axis=0), np.delete(s_row, row)
-    return _lfh_build(x, s_row, np.full(x.shape[0], float(xi)), half_range)
+    a, b = _lfh_build(x, s_row, np.full(x.shape[0], float(xi)), np.empty_like(x))
+    return make_system(a, b, half_range)
 
 
 def splh_system_dense(sim_full: np.ndarray, half_range: float = 2.0) -> RowSystem:

@@ -271,6 +271,26 @@ class TestDenseBudget:
         assert "at most 5000 distinct label sets, got 5001" in err
         assert not (tmp_path / "run").exists()
 
+    def test_view_refuses_past_the_entry_cap(self, tmp_path, capsys, monkeypatch):
+        """u distinct label sets by m anchors past 10**8 entries: refused before any block."""
+        from emhash import dataio
+
+        def forbidden(rows, cols):
+            raise AssertionError("similarity_block called past the entry cap")
+
+        monkeypatch.setattr(dataio, "similarity_block", forbidden)
+        code = main([
+            "train", "--features", str(distinct_classes_csv(tmp_path, 10001)),
+            "--anchors", "10001", "--bits", "4", "--out-dir", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "emhash train: similarity view of 10001 distinct label sets by 10001 anchors "
+            "(100,020,001 entries) would exceed the dense budget of 100,000,000 entries\n"
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_splh_trains_at_the_cap(self, tmp_path):
         out_dir = tmp_path / "run"
         assert main([
@@ -305,7 +325,7 @@ class TestEdgeProbes:
         return read_codes(out_dir / "codes.txt")
 
     @pytest.mark.parametrize("method", ["em-ksh", "em-lfh"])
-    def test_all_unlabeled_anchors_give_uninformative_codes(self, tmp_path, method):
+    def test_all_unlabeled_anchors_give_uninformative_codes(self, tmp_path, capsys, method):
         from emhash.dataio import Dataset, sample_similarity_columns
 
         n, m, seed = 60, 12, 4
@@ -319,6 +339,14 @@ class TestEdgeProbes:
                          "--anchors", str(m), "--seed", str(seed))
         # Every relation to an anchor is unobserved: all marginals sit at 0.5.
         np.testing.assert_array_equal(codes, 1)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"{method}: 0 of {m} anchors are labeled;")
+
+    def test_a_labeled_anchor_gives_no_warning(self, tmp_path, capsys):
+        features = np.random.default_rng(3).random((30, 3))
+        self.run(tmp_path, features, [i % 3 for i in range(30)], "--anchors", "10")
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("method", ["em-ksh", "em-lfh", "em-splh"])
     def test_single_class(self, tmp_path, method):
@@ -335,6 +363,24 @@ class TestEdgeProbes:
         codes = self.run(tmp_path, features, labels, "--method", method, "--bits", "1",
                          "--anchors", "15")
         assert codes.shape == (45, 1) and len(np.unique(codes)) == 2
+
+
+class TestResidualGuard:
+    @pytest.mark.parametrize("method", ["em-ksh", "em-lfh"])
+    def test_residual_breach_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch, method):
+        """A row solve past RESIDUAL_TOL inside a sweep ends the run, leaving no outputs."""
+        data = synth(tmp_path)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: solve(lhs, rhs) * (1.0 + 1e-3))
+        code = main([
+            "train", "--features", str(data), "--method", method, "--bits", "8",
+            "--anchors", "40", "--out-dir", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("emhash train: affine solve residual ")
+        assert not (tmp_path / "run").exists()
 
 
 class TestLinearize:

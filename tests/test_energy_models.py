@@ -43,6 +43,7 @@ from emhash.energy_models import (
     variational_weight,
 )
 from emhash.mean_field import (
+    LinearizedSigmoid,
     build_scale,
     extremal_eigenpairs,
     fit_linearization,
@@ -50,10 +51,12 @@ from emhash.mean_field import (
     renormalize_and_squash,
     solve_affine,
     solve_homogeneous,
+    solve_row,
     solve_row_system,
 )
 from oracles import (
     homogeneous_dense,
+    ksh_sweep_row_systems,
     ksh_train_rebuilding_rows,
     lfh_system_pinned,
     splh_system_dense,
@@ -319,8 +322,7 @@ class TestEmKshTrain:
         monkeypatch.setattr(energy_models, "ksh_anchor_system",
                             counted("anchor_system", ksh_anchor_system))
         monkeypatch.setattr(energy_models, "_ksh_coupling", counted("coupling", _ksh_coupling))
-        monkeypatch.setattr(energy_models, "solve_row_system",
-                            counted("solve", solve_row_system))
+        monkeypatch.setattr(energy_models, "solve_row", counted("solve", solve_row))
         rng = np.random.default_rng(44)
         m = 12
         labels = rng.integers(0, 3, size=m + tail)
@@ -364,7 +366,7 @@ def ksh_sweep_gaps(phi, s, half_range, sweeps=2):
     gaps = []
     gram_size = [0.0]
 
-    def checking(sys, lin):
+    def checking(a, b, scale, lin, a_max):
         i = len(gaps) % view.m
         ref = ksh_anchor_system(phi, view, i, half_range)
         x = np.abs(2.0 * phi - 1.0)
@@ -374,15 +376,15 @@ def ksh_sweep_gaps(phi, s, half_range, sweeps=2):
         size_b = bits * np.max(np.abs(s[i]) @ x)
         size_scale = (bits * size_a + size_b) / half_range
         row = []
-        for got, want, size in ((sys.a, ref.a, size_a), (sys.b, ref.b, size_b),
-                                (sys.scale, ref.scale, size_scale)):
+        for got, want, size in ((a, ref.a, size_a), (b, ref.b, size_b),
+                                (scale, ref.scale, size_scale)):
             gap = float(np.max(np.abs(np.subtract(got, want))))
             row.append(gap / size if size else (0.0 if gap == 0.0 else np.inf))
         gaps.append(max(row))
-        return solve_row_system(sys, lin)
+        return solve_row(a, b, scale, lin, a_max)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(energy_models, "solve_row_system", checking)
+        patch.setattr(energy_models, "solve_row", checking)
         for _ in range(sweeps):
             energy_models._ksh_sweep(phi, view, lin)
     assert len(gaps) == sweeps * view.m
@@ -905,14 +907,14 @@ class TestLfh:
 
     @pytest.mark.parametrize("tail", [0, 10, 3 * _ROW_BLOCK])
     def test_solves_anchor_rows_only_one_system_each(self, monkeypatch, tail):
-        """Only the anchor sweeps go through the single-row dispatcher."""
+        """Only the anchor sweeps go through the row kernel."""
         calls = []
 
-        def counting(sys, lin):
-            calls.append(sys.dim)
-            return solve_row_system(sys, lin)
+        def counting(a, b, scale, lin, a_max):
+            calls.append(len(b))
+            return solve_row(a, b, scale, lin, a_max)
 
-        monkeypatch.setattr(energy_models, "solve_row_system", counting)
+        monkeypatch.setattr(energy_models, "solve_row", counting)
         rng = np.random.default_rng(40)
         m = 12
         labels = rng.integers(0, 3, size=m + tail)
@@ -1153,3 +1155,66 @@ class TestLfhTailMatchesRowSolve:
         s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
         s[m:][rng.random(n - m) < 0.05] = 0  # unlabeled tail points
         assert_lfh_tail_matches_rows(rng.random((m, bits)), s, 2.0, atol=1e-12)
+
+
+class TestSweepsMatchCheckedRows:
+    """Both anchor sweeps, which build every row in shared buffers and hand it
+    unchecked to the row kernel, against a checked ``RowSystem`` per row.
+
+    Bit for bit: the sweeps run the same arithmetic on the same values.  Each
+    instance runs two sweeps, so the second sees the first's rows.
+    """
+
+    @settings(deadline=None)
+    @given(ksh_sweep_instances())
+    @example(ksh_sweep_instance(1, 6, 1, 2.0))
+    @example(ksh_sweep_instance(2, 1, 5, 2.0))
+    @example(ksh_sweep_instance(3, 7, 4, 2.0, silent_rows=3))
+    @example(ksh_sweep_instance(4, 40, 64, 2.0))
+    def test_ksh_sweep(self, instance):
+        phi, s, half_range = instance
+        view, lin = SimilarityView(s=s), linearization(half_range)
+        swept, checked = phi.copy(), phi.copy()
+        for _ in range(2):
+            energy_models._ksh_sweep(swept, view, lin)
+            ksh_sweep_row_systems(checked, view, lin)
+            assert swept.tobytes() == checked.tobytes()
+
+    @settings(deadline=None)
+    @given(ksh_sweep_instances())
+    @example(ksh_sweep_instance(1, 6, 1, 2.0))
+    @example(ksh_sweep_instance(2, 1, 5, 2.0))
+    @example(ksh_sweep_instance(3, 7, 4, 2.0, silent_rows=3))
+    @example(ksh_sweep_instance(4, 40, 16, 2.0))
+    def test_lfh_sweep(self, instance):
+        phi, s, half_range = instance
+        view, lin = SimilarityView(s=s), linearization(half_range)
+        swept, checked = phi.copy(), phi.copy()
+        for _ in range(2):
+            energy_models._lfh_sweep(swept, view, lin)
+            for i in range(view.m):
+                checked[i] = solve_row_system(lfh_system(checked, view, i, half_range), lin)
+            assert swept.tobytes() == checked.tobytes()
+
+    @pytest.mark.parametrize("sweep", ["_ksh_sweep", "_lfh_sweep"])
+    def test_refuses_a_linearization_failing_the_condition(self, sweep):
+        """The sweep checks the linearization once, before its first row."""
+        lin = object.__new__(LinearizedSigmoid)
+        for name, value in (("half_range", 2.0), ("slope", 0.25), ("intercept", 0.5)):
+            object.__setattr__(lin, name, value)
+        phi, s, _ = ksh_sweep_instance(5, 6, 3, 2.0)
+        before = phi.copy()
+        with pytest.raises(ValueError, match="^linearization violates the solvability condition$"):
+            getattr(energy_models, sweep)(phi, SimilarityView(s=s), lin)
+        np.testing.assert_array_equal(phi, before)
+
+    @pytest.mark.parametrize("train", [em_ksh_train, em_lfh_train])
+    def test_residual_breach_inside_a_sweep_raises(self, monkeypatch, train):
+        """A solve whose residual exceeds RESIDUAL_TOL stops training."""
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: solve(lhs, rhs) * (1.0 + 1e-3))
+        rng = np.random.default_rng(45)
+        labels = rng.integers(0, 3, size=30)
+        s = np.where(labels[:, None] == labels[None, :12], 1, -1).astype(np.int8)
+        with pytest.raises(np.linalg.LinAlgError, match="^affine solve residual .* exceeds"):
+            train(SimilarityView(s=s), TrainConfig(bits=5, sweeps=1, seed=2), LIN)

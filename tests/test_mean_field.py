@@ -6,10 +6,12 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emhash.mean_field import (
     MAX_HALF_RANGE,
     MIN_HALF_RANGE,
+    ZERO_TOL,
     LinearizedSigmoid,
     RowSystem,
     build_scale,
@@ -17,11 +19,14 @@ from emhash.mean_field import (
     fit_linearization,
     make_system,
     renormalize_and_squash,
+    row_scale,
     sigmoid,
     solve_affine,
     solve_homogeneous,
+    solve_row,
     solve_row_system,
 )
+from oracles import solve_row_literal
 
 
 def simpson_slope(half_range: float, panels: int = 20001) -> float:
@@ -183,6 +188,10 @@ class TestRowSystem:
         a = np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             RowSystem(a=a, b=np.zeros(2), scale=1.0)
+
+    def test_refuses_a_negative_scale(self):
+        with pytest.raises(ValueError, match="^scale must be nonnegative, got -0.5$"):
+            RowSystem(a=np.eye(2), b=np.ones(2), scale=-0.5)
 
     def test_scale_recompute_matches(self):
         rng = np.random.default_rng(3)
@@ -420,3 +429,79 @@ class TestSolveRowSystem:
         # length-1 rows keep the sign information instead of washing to 0.5
         one = make_system(np.zeros((1, 1)), np.array([4.0]), 2.0)
         assert solve_row_system(one, lin)[0] == pytest.approx(sigmoid(np.array([2.0]))[0])
+
+
+@st.composite
+def row_instances(draw):
+    """A symmetric (a, b) and half-range aimed at one of the kernel's three branches.
+
+    ``branch`` zeroes b, or shrinks a below ``ZERO_TOL`` (a nonzero tiny
+    matrix still takes the explicit branch), or leaves both live.
+    """
+    dim = draw(st.integers(1, 8))
+    upper = draw(arrays(np.float64, (dim, dim), elements=st.floats(-50.0, 50.0)))
+    a = np.triu(upper) + np.triu(upper, 1).T
+    b = draw(arrays(np.float64, dim, elements=st.floats(-50.0, 50.0)))
+    branch = draw(st.sampled_from(["uninformative", "explicit", "affine"]))
+    if branch == "uninformative":
+        b = b * draw(st.sampled_from([0.0, 1e-14]))
+    elif branch == "explicit":
+        a = a * draw(st.sampled_from([0.0, 1e-15]))
+    half_range = draw(st.one_of(st.sampled_from([0.05, 2.0, 2.5996]), st.floats(0.05, 2.5996)))
+    return a, b, half_range
+
+
+def fixed_row(seed, dim, half_range, a_gain=1.0, b_gain=1.0):
+    rng = np.random.default_rng(seed)
+    upper = rng.normal(size=(dim, dim))
+    return (a_gain * (np.triu(upper) + np.triu(upper, 1).T), b_gain * rng.normal(size=dim),
+            half_range)
+
+
+class TestSolveRow:
+    """The unchecked row kernel against the checked entry and the literal dispatch."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(row_instances())
+    @example(fixed_row(1, 6, 2.0, b_gain=0.0))  # no evidence: 0.5
+    @example(fixed_row(2, 6, 2.0, a_gain=0.0))  # no coupling: sigmoid(b / scale)
+    @example(fixed_row(3, 1, 2.0, a_gain=0.0))  # length 1
+    @example(fixed_row(4, 64, 1.418))
+    @example(fixed_row(5, 8, 2.5996))
+    @example(fixed_row(6, 8, 0.05))
+    def test_matches_the_checked_entry_bit_for_bit(self, instance):
+        a, b, half_range = instance
+        lin = fit_linearization(half_range)
+        scale, a_max = row_scale(a, b, half_range, np.empty_like(a))
+        got = solve_row(a, b, scale, lin, a_max)
+        sys = make_system(a, b, half_range)
+        assert scale == sys.scale and a_max == np.max(np.abs(a))
+        for want in (solve_row_system(sys, lin), solve_row_literal(sys, lin)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_each_branch_is_taken(self):
+        lin = fit_linearization(2.0)
+        for a_gain, b_gain, branch in ((1.0, 0.0, "uninformative"), (0.0, 1.0, "explicit"),
+                                       (1e-15, 1.0, "explicit"), (1.0, 1.0, "affine")):
+            a, b, _ = fixed_row(7, 5, 2.0, a_gain, b_gain)
+            scale, a_max = row_scale(a, b, 2.0, np.empty_like(a))
+            out = solve_row(a, b, scale, lin, a_max)
+            assert (a_max < ZERO_TOL) == (a_gain < 1.0)
+            if branch == "uninformative":
+                np.testing.assert_array_equal(out, np.full(5, 0.5))
+            elif branch == "explicit":
+                np.testing.assert_array_equal(out, sigmoid(b / scale))
+            else:
+                # Stretched onto the fit interval: the ends sit at sigmoid(-+half_range).
+                np.testing.assert_allclose([out.min(), out.max()], sigmoid(np.array([-2.0, 2.0])),
+                                           atol=1e-15)
+
+    def test_residual_breach_raises(self, monkeypatch):
+        """The kernel keeps the RESIDUAL_TOL guard of the affine closed form."""
+        a, b, _ = fixed_row(8, 5, 2.0)
+        lin = fit_linearization(2.0)
+        scale, a_max = row_scale(a, b, 2.0, np.empty_like(a))
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: solve(lhs, rhs) + 1e-3)
+        with pytest.raises(np.linalg.LinAlgError, match="^affine solve residual .* exceeds"):
+            solve_row(a, b, scale, lin, a_max)
