@@ -49,7 +49,6 @@ __all__ = [
     "standardize_features",
     "index_labels",
     "group_labels",
-    "group_rows",
     "similarity_block",
     "full_similarity",
     "sample_similarity_columns",
@@ -304,17 +303,6 @@ def group_labels(labels: list) -> tuple[np.ndarray, list]:
     return groups, list(ids)
 
 
-def group_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of a 2-d array, compared by their bytes.
-
-    Returns ``(groups, first)``: groups are numbered in order of first
-    appearance, ``first[g]`` is the first row of group g, and ``block[i]``
-    equals ``block[first[groups[i]]]``.
-    """
-    groups, _ = group_labels([row.tobytes() for row in block])
-    return groups, np.unique(groups, return_index=True)[1]
-
-
 def similarity_block(rows: tuple, cols: tuple) -> np.ndarray:
     """Int8 block whose entry (i, j) is the similarity (+1, -1 or 0) of row i to column j."""
     n_rows, row_tags, row_unlabeled = rows
@@ -377,13 +365,11 @@ class SimilarityView:
     of the int8 block ``s``, one row per group of points (per distinct
     label, as :func:`sample_similarity_columns` builds it).  The anchors are
     the first ``m`` points, so ``s[groups[j], j] == +1`` for a labeled anchor
-    j.  A zero entry means the relation is unobserved.  Given only a dense
-    points-by-anchors block, the view groups its equal rows
-    (:func:`group_rows`).
+    j.  A zero entry means the relation is unobserved.
     """
 
     s: np.ndarray
-    groups: np.ndarray | None = None
+    groups: np.ndarray
 
     def __post_init__(self) -> None:
         s = np.asarray(self.s)
@@ -391,13 +377,9 @@ class SimilarityView:
             raise ValueError(f"similarity view must be 2-d, got shape {s.shape}")
         check_signs(s, _ENTRIES_MESSAGE, zero=True)
         s = s.astype(np.int8, copy=False)
-        if self.groups is None:
-            groups, first = group_rows(s)
-            s = s[first]
-        else:
-            groups = np.asarray(self.groups, dtype=np.intp)
-            if groups.ndim != 1 or (groups.size and not 0 <= groups.min() <= groups.max() < len(s)):
-                raise ValueError(f"group ids must be a 1-d array indexing the {len(s)} block rows")
+        groups = np.asarray(self.groups, dtype=np.intp)
+        if groups.ndim != 1 or (groups.size and not 0 <= groups.min() <= groups.max() < len(s)):
+            raise ValueError(f"group ids must be a 1-d array indexing the {len(s)} block rows")
         if groups.size < s.shape[1]:
             raise ValueError("anchor count cannot exceed point count")
         object.__setattr__(self, "s", s)

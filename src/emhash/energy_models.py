@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _ENTRIES_MESSAGE, SimilarityView, check_signs, group_rows
+from .dataio import _ENTRIES_MESSAGE, SimilarityView, check_signs
 from .mean_field import (
     ZERO_TOL,
     LinearizedSigmoid,
@@ -75,8 +75,6 @@ __all__ = [
     "variational_weight",
     "lfh_system",
     "em_lfh_train",
-    "ksh_energy",
-    "splh_energy",
 ]
 
 # Distinct label sets (u) of the em-splh similarity: its solve holds a u-by-u
@@ -390,7 +388,12 @@ def splh_system(sigma: np.ndarray, sizes: np.ndarray, half_range: float = 2.0) -
     the row's count of nonzeros, ``(|sigma| @ sizes)[g]`` in group g, so the
     scale is S's :func:`build_scale` value, counted in integers.
     """
-    sigma = _checked_square(sigma)
+    sigma = np.asarray(sigma)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ValueError(f"label-set similarity must be square, got shape {sigma.shape}")
+    if not is_exactly_symmetric(sigma):
+        raise ValueError("label-set similarity must be symmetric")
+    check_signs(sigma, _ENTRIES_MESSAGE, zero=True)
     sizes = np.asarray(sizes)
     if sizes.shape != sigma.shape[:1] or sizes.dtype.kind not in "iu" or (sizes < 1).any():
         raise ValueError(f"need a positive integer group size for each of the {len(sigma)} groups")
@@ -414,38 +417,23 @@ def check_dense_budget(sets: int) -> None:
         )
 
 
-def _checked_square(raw) -> np.ndarray:
-    raw = np.asarray(raw)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise ValueError(f"full similarity must be square, got shape {raw.shape}")
-    if not is_exactly_symmetric(raw):
-        raise ValueError("full similarity must be symmetric")
-    check_signs(raw, _ENTRIES_MESSAGE, zero=True)
-    return raw
-
-
-def em_splh_train(sim_full, cfg: TrainConfig, lin: LinearizedSigmoid) -> np.ndarray:
+def em_splh_train(
+    sim: tuple[np.ndarray, np.ndarray], cfg: TrainConfig, lin: LinearizedSigmoid
+) -> np.ndarray:
     """Learn soft codes for the correlation energy in one exact solve.
 
-    ``sim_full`` is the square similarity of the points, factored as
-    ``(groups, sigma)`` -- points i and j have similarity
-    ``sigma[groups[i], groups[j]]`` -- or dense, and then factored by its
-    distinct rows.  The system is homogeneous by construction, so the
-    homogeneous eigenvector path (two extremal eigenpairs by Lanczos) on the
-    u-by-u :func:`splh_system`, expanded to the points with the sign that
-    makes its first nonnegligible entry positive, re-normalized and
-    squashed, yields the single shared bit column directly; no
-    initialization is involved and every bit column is a copy of it.
-    Beside the similarity it reads only ``cfg.bits`` and ``lin``.
+    ``sim`` is the square similarity of the points, factored as
+    ``(groups, sigma)``: points i and j have similarity
+    ``sigma[groups[i], groups[j]]``.  The system is homogeneous by
+    construction, so the homogeneous eigenvector path (two extremal
+    eigenpairs by Lanczos) on the u-by-u :func:`splh_system`, expanded to
+    the points with the sign that makes its first nonnegligible entry
+    positive, re-normalized and squashed, yields the single shared bit
+    column directly; no initialization is involved and every bit column is
+    a copy of it.  Beside the similarity it reads only ``cfg.bits`` and
+    ``lin``.
     """
-    if isinstance(sim_full, tuple):
-        groups, sigma = np.asarray(sim_full[0]), np.asarray(sim_full[1])
-    else:
-        # Equal rows of a symmetric matrix have equal columns too, so sigma
-        # is the matrix read at the first point of each group of equal rows.
-        raw = _checked_square(sim_full).astype(np.int8, copy=False)
-        groups, first = group_rows(raw)
-        sigma = raw[np.ix_(first, first)]
+    groups, sigma = np.asarray(sim[0]), np.asarray(sim[1])
     check_dense_budget(len(sigma))
     if not sigma.any():
         raise ValueError("all-zero similarity admits no solution")
@@ -519,36 +507,3 @@ def em_lfh_train(sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid) 
     its solution, gives the ksh tail at evidence gain 2.
     """
     return _train(sim, cfg, lin, _lfh_sweep, 2.0)
-
-
-def _validate_codes_and_similarity(codes: np.ndarray, sim_full: np.ndarray):
-    codes = np.asarray(codes, dtype=float)
-    s = np.asarray(sim_full)
-    if codes.ndim != 2:
-        raise ValueError(f"codes must be 2-d, got shape {codes.shape}")
-    if not np.all(np.abs(codes) == 1.0):
-        raise ValueError("codes must contain only +1 and -1")
-    if s.shape != (codes.shape[0], codes.shape[0]):
-        raise ValueError(
-            f"similarity shape {s.shape} does not match {codes.shape[0]} codes"
-        )
-    return codes, s
-
-
-def ksh_energy(codes: np.ndarray, sim_full: np.ndarray) -> float:
-    """Squared-fit energy: quarter sum over observed pairs of
-    ``(code inner product - bits * similarity)**2``."""
-    codes, s = _validate_codes_and_similarity(codes, sim_full)
-    bits = codes.shape[1]
-    gram = codes @ codes.T
-    penal = (gram - float(bits) * s) ** 2 * (s != 0)
-    return float(0.25 * 0.5 * (penal.sum() - np.trace(penal)))
-
-
-def splh_energy(codes: np.ndarray, sim_full: np.ndarray) -> float:
-    """Correlation energy: minus half the sum over pairs of
-    ``similarity * code inner product``."""
-    codes, s = _validate_codes_and_similarity(codes, sim_full)
-    gram = codes @ codes.T
-    agree = s * gram
-    return float(-0.25 * (agree.sum() - np.trace(agree)))

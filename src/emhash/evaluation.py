@@ -163,6 +163,20 @@ def _block_aps(query_codes, query_labels, db_codes, db_index, start, exclude_sel
     return aps
 
 
+def _median(values: np.ndarray) -> float:
+    """Median of a nonempty 1-d array without NaNs: ``np.median``'s value.
+
+    The middle sorted value, or the mean of the middle two, computed as
+    ``np.median`` computes it; unlike ``np.median`` it makes no NaN check,
+    which imports ``numpy.ma``.
+    """
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def metrics_lines(result: RankingResult) -> list[str]:
     """Line-oriented key=value rendering of a ranking result."""
     valid = result.per_query_ap[~np.isnan(result.per_query_ap)]
@@ -171,17 +185,16 @@ def metrics_lines(result: RankingResult) -> list[str]:
         f"queries={result.queries}",
         f"skipped_queries={result.skipped}",
         f"ap_min={valid.min():.6f}",
-        f"ap_median={float(np.median(valid)):.6f}",
+        f"ap_median={_median(valid):.6f}",
         f"ap_max={valid.max():.6f}",
     ]
 
 
-def write_metrics_json(path: str | Path, result: RankingResult, extra: dict | None = None) -> None:
+def write_metrics_json(path: str | Path, result: RankingResult) -> None:
     """Write the documented machine-readable metrics file.
 
     Schema: ``{"schema": ..., "map": float, "queries": int,
-    "skipped_queries": int, "per_query_ap": [float | null, ...]}`` plus any
-    extra keys supplied by the caller.
+    "skipped_queries": int, "per_query_ap": [float | null, ...]}``.
     """
     payload = {
         "schema": METRICS_SCHEMA,
@@ -190,6 +203,4 @@ def write_metrics_json(path: str | Path, result: RankingResult, extra: dict | No
         "skipped_queries": result.skipped,
         "per_query_ap": [None if np.isnan(v) else float(v) for v in result.per_query_ap],
     }
-    if extra:
-        payload.update(extra)
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

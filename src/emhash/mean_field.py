@@ -21,9 +21,9 @@ One row goes through one kernel, :func:`solve_row`: uninformative 0.5, the
 explicit sigmoid, or the affine closed form and its squash.  It checks
 nothing, so a sweep that builds its rows correct by construction pays for no
 validation per row (:func:`row_scale` gives it the scale and the ``A ~ 0``
-test from one ``|a|``).  The validated entries :func:`solve_row_system`,
-:func:`solve_affine` and :func:`renormalize_and_squash` check their inputs,
-then run the kernel's own arithmetic; no step is written twice.
+test from one ``|a|``).  The validated entries :func:`solve_affine` and
+:func:`renormalize_and_squash` check their inputs, then run the kernel's own
+arithmetic; no step is written twice.
 
 Everything here is pure: no function mutates its inputs (:func:`row_scale`
 writes only the buffer it is handed for that), and
@@ -53,7 +53,6 @@ __all__ = [
     "solve_homogeneous",
     "renormalize_and_squash",
     "solve_row",
-    "solve_row_system",
 ]
 
 # Smallest half-range fitted.  Below about 1e-7 the fitted slope rounds to the
@@ -496,14 +495,3 @@ def solve_row(
     if a_max < ZERO_TOL:
         return sigmoid(b / scale)
     return _squash(_affine(a, b, scale, lin.slope) + b / scale, lin.half_range)
-
-
-def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
-    """Solve one validated consistency system end to end with :func:`solve_row`.
-
-    :class:`RowSystem` has checked the system; this checks ``lin`` with
-    :func:`check_condition`.
-    """
-    if not check_condition(lin):
-        raise ValueError("linearization violates the solvability condition")
-    return solve_row(sys.a, sys.b, sys.scale, lin, float(np.max(np.abs(sys.a))))

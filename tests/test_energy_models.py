@@ -20,13 +20,11 @@ from emhash.dataio import (
     Dataset,
     full_similarity,
     group_labels,
-    group_rows,
     sample_similarity_columns,
 )
 from emhash.energy_models import (
     _ROW_BLOCK,
     _ksh_coupling,
-    SimilarityView,
     TrainConfig,
     batch_solve_shared,
     eigendecompose_shared,
@@ -34,11 +32,9 @@ from emhash.energy_models import (
     em_lfh_train,
     em_splh_train,
     ksh_anchor_system,
-    ksh_energy,
     ksh_tail_pass,
     ksh_tail_systems,
     lfh_system,
-    splh_energy,
     splh_system,
     variational_weight,
 )
@@ -52,14 +48,19 @@ from emhash.mean_field import (
     solve_affine,
     solve_homogeneous,
     solve_row,
-    solve_row_system,
 )
 from oracles import (
     homogeneous_dense,
+    ksh_energy,
+    ksh_jacobi_sweep,
     ksh_sweep_row_systems,
     ksh_train_rebuilding_rows,
     lfh_system_pinned,
+    solve_row_system,
+    splh_energy,
+    splh_factors,
     splh_system_dense,
+    view_of,
 )
 
 LIN = fit_linearization(2.0)
@@ -88,9 +89,8 @@ def two_class_similarity(rng, n):
 
 def factored(sim_full):
     """``(groups, sigma, sizes)`` of a dense symmetric similarity."""
-    s = np.asarray(sim_full, dtype=np.int8)
-    groups, first = group_rows(s)
-    return groups, s[np.ix_(first, first)], np.bincount(groups)
+    groups, sigma = splh_factors(np.asarray(sim_full, dtype=np.int8))
+    return groups, sigma, np.bincount(groups)
 
 
 def expanded_direction(sim_full):
@@ -120,18 +120,18 @@ def ksh_system_oracle(phi_block, s, i, bits):
 class TestSimilarityView:
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError, match="-1, 0 or"):
-            SimilarityView(s=np.array([[1, 2], [2, 1]]))
+            view_of(np.array([[1, 2], [2, 1]]))
 
     def test_rejects_more_anchors_than_points(self):
         with pytest.raises(ValueError):
-            SimilarityView(s=np.ones((2, 3), dtype=np.int8))
+            view_of(np.ones((2, 3), dtype=np.int8))
 
 
 class TestKshAnchorSystem:
     def test_hand_instance(self):
         """Two anchors, two bits, one similar pair: checked term by term."""
         phi = np.array([[1.0, 0.0], [1.0, 1.0]])  # 2*phi-1 = [[1,-1],[1,1]]
-        view = SimilarityView(s=np.array([[1, 1], [1, 1]], dtype=np.int8))
+        view = view_of(np.array([[1, 1], [1, 1]], dtype=np.int8))
         sys = ksh_anchor_system(phi, view, 0, 2.0)
         np.testing.assert_array_equal(sys.a, [[0.0, -1.0], [-1.0, 0.0]])
         np.testing.assert_array_equal(sys.b, [2.0, 2.0])
@@ -139,14 +139,14 @@ class TestKshAnchorSystem:
     def test_single_bit_has_no_coupling(self):
         rng = np.random.default_rng(1)
         phi = rng.random((5, 1))
-        view = SimilarityView(s=random_full_similarity(rng, 5)[:, :5])
+        view = view_of(random_full_similarity(rng, 5)[:, :5])
         sys = ksh_anchor_system(phi, view, 2, 2.0)
         np.testing.assert_array_equal(sys.a, [[0.0]])
 
     def test_unobserved_similarities_vanish_from_evidence(self):
         rng = np.random.default_rng(2)
         phi = rng.random((4, 3))
-        view = SimilarityView(s=np.zeros((4, 4), dtype=np.int8))
+        view = view_of(np.zeros((4, 4), dtype=np.int8))
         sys = ksh_anchor_system(phi, view, 1, 2.0)
         np.testing.assert_array_equal(sys.b, np.zeros(3))
         assert np.max(np.abs(sys.a)) > 0.0  # coupling carries no similarity factor
@@ -158,7 +158,7 @@ class TestKshAnchorSystem:
             phi = rng.random((m, d))
             s = rng.choice([-1, 0, 1], size=(m, m))
             np.fill_diagonal(s, 1)
-            view = SimilarityView(s=s)
+            view = view_of(s)
             i = int(rng.integers(0, m))
             sys = ksh_anchor_system(phi, view, i, 2.0)
             a_ref, b_ref = ksh_system_oracle(phi, s, i, d)
@@ -167,7 +167,7 @@ class TestKshAnchorSystem:
 
     def test_index_out_of_range(self):
         phi = np.random.default_rng(0).random((3, 2))
-        view = SimilarityView(s=np.ones((3, 3), dtype=np.int8))
+        view = view_of(np.ones((3, 3), dtype=np.int8))
         with pytest.raises(IndexError):
             ksh_anchor_system(phi, view, 3, 2.0)
 
@@ -282,14 +282,14 @@ class TestEmKshTrain:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         s, _ = two_class_similarity(rng, 30)
-        view = SimilarityView(s=s[:, :12])
+        view = view_of(s[:, :12])
         cfg = TrainConfig(bits=4, sweeps=2, seed=9)
         first = em_ksh_train(view, cfg, LIN)
         second = em_ksh_train(view, cfg, LIN)
         np.testing.assert_array_equal(first, second)
 
     def test_all_zero_similarity_gives_uniform_marginals(self):
-        view = SimilarityView(s=np.zeros((10, 4), dtype=np.int8))
+        view = view_of(np.zeros((10, 4), dtype=np.int8))
         cfg = TrainConfig(bits=3, sweeps=2, seed=0)
         phi = em_ksh_train(view, cfg, LIN)
         np.testing.assert_array_equal(phi, np.full((10, 3), 0.5))
@@ -301,7 +301,7 @@ class TestEmKshTrain:
         rng = np.random.default_rng(9)
         labels = [i % 2 for i in range(60)]
         s = np.where(np.equal.outer(labels, labels), 1, -1).astype(np.int8)
-        view = SimilarityView(s=s[:, :30])
+        view = view_of(s[:, :30])
         cfg = TrainConfig(bits=8, sweeps=3, seed=2)
         phi = em_ksh_train(view, cfg, LIN)
         codes, _ = round_codes(phi)
@@ -328,10 +328,40 @@ class TestEmKshTrain:
         labels = rng.integers(0, 3, size=m + tail)
         s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
         cfg = TrainConfig(bits=5, sweeps=3, seed=2)
-        em_ksh_train(SimilarityView(s=s), cfg, LIN)
+        em_ksh_train(view_of(s), cfg, LIN)
         assert calls["anchor_system"] == 0
         assert calls["coupling"] <= 1  # the tail's shared coupling, if there is a tail
         assert calls["solve"] == cfg.sweeps * m
+
+
+class TestSequentialBeatsParallel:
+    """The paper's claim on the update schedule, at the benchmark's smoke shape.
+
+    240 points in 12 classes, m = 60 anchors, 8 bits, 6 sweeps from one
+    seeded start.  The sequential state is em-ksh's own sweep; the parallel
+    one solves every anchor row from the previous sweep's state
+    (:func:`oracles.ksh_jacobi_sweep`).  Each is scored by ``ksh_energy`` of
+    its rounded anchor codes against the anchors' similarity.  The
+    sequential energy is not asserted to fall at every sweep: it rises
+    slightly at some sweeps of these seeds.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sequential_energy_stays_below_parallel(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = [int(c) for c in rng.integers(0, 12, size=240)]
+        view, _ = sample_similarity_columns(Dataset(np.zeros((240, 1)), labels), 60, seed)
+        s = view.s[view.groups[:60]]
+        sequential = np.random.default_rng(seed).random((60, 8))
+        parallel = sequential.copy()
+        energies = []
+        for _ in range(6):
+            energy_models._ksh_sweep(sequential, view, LIN)
+            parallel = ksh_jacobi_sweep(parallel, view, LIN)
+            energies.append([ksh_energy(round_codes(phi)[0], s) for phi in (sequential, parallel)])
+        energies = np.array(energies)
+        assert np.all(energies[:, 0] < energies[:, 1])
+        assert np.any(np.diff(energies[:, 1]) > 0)
 
 
 def ksh_sweep_instance(seed, m, bits, half_range, silent_rows=0):
@@ -359,7 +389,7 @@ def ksh_sweep_gaps(phi, s, half_range, sweeps=2):
     coupling, the evidence and the scale, each over the size of the terms it
     sums (see :class:`TestKshSweepMatchesRowBuild`).
     """
-    view = SimilarityView(s=s)
+    view = view_of(s)
     lin = linearization(half_range)
     phi = phi.copy()
     bits = phi.shape[1]
@@ -427,7 +457,7 @@ class TestKshSweepMatchesRowBuild:
             [-1, 1, -1, 1, 1, 1, -1, -1], [1, 0, 0, -1, 1, 0, 0, -1],
             [-1, 0, 0, 0, 1, 0, -1, 1], [0, 1, 0, -1, 0, 1, -1, 0],
         ], dtype=np.int8)
-        view, lin = SimilarityView(s=s), linearization(1.418)
+        view, lin = view_of(s), linearization(1.418)
         swept, rebuilt = phi.copy(), phi.copy()
         for _ in range(2):
             energy_models._ksh_sweep(swept, view, lin)
@@ -440,7 +470,7 @@ class TestKshSweepMatchesRowBuild:
         n, m, bits = 3000, 800, 64
         labels = rng.integers(0, 12, size=n)
         s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
-        view = SimilarityView(s=s)
+        view = view_of(s)
         cfg = TrainConfig(bits=bits, sweeps=2, seed=1)
         phi = em_ksh_train(view, cfg, LIN)
         expected = ksh_train_rebuilding_rows(view, cfg, LIN)
@@ -474,7 +504,7 @@ class TestSplh:
         assert np.allclose(top[:5], top[0]) and np.allclose(top[5:], top[5])
         assert np.sign(top[0]) != np.sign(top[5])
         cfg = TrainConfig(bits=4, sweeps=1, seed=0)
-        phi = em_splh_train(s, cfg, LIN)
+        phi = em_splh_train(splh_factors(s), cfg, LIN)
         from emhash.codec import round_codes
 
         codes, _ = round_codes(phi)
@@ -489,22 +519,22 @@ class TestSplh:
         lead = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
         v = v if v[lead] > 0.0 else -v
         expected = renormalize_and_squash(v, np.zeros_like(v), sys.scale, 2.0)
-        phi = em_splh_train(s, TrainConfig(bits=3, sweeps=1, seed=0), LIN)
+        phi = em_splh_train(splh_factors(s), TrainConfig(bits=3, sweeps=1, seed=0), LIN)
         for k in range(3):
             np.testing.assert_array_equal(phi[:, k], expected)
 
     def test_all_bit_columns_identical(self):
         rng = np.random.default_rng(12)
         s = random_full_similarity(rng, 8)
-        phi = em_splh_train(s, TrainConfig(bits=5, sweeps=1, seed=3), LIN)
+        phi = em_splh_train(splh_factors(s), TrainConfig(bits=5, sweeps=1, seed=3), LIN)
         for k in range(1, 5):
             np.testing.assert_array_equal(phi[:, k], phi[:, 0])
 
     def test_independent_of_seed(self):
         rng = np.random.default_rng(13)
         s = random_full_similarity(rng, 7)
-        a = em_splh_train(s, TrainConfig(bits=2, sweeps=1, seed=0), LIN)
-        b = em_splh_train(s, TrainConfig(bits=2, sweeps=1, seed=999), LIN)
+        a = em_splh_train(splh_factors(s), TrainConfig(bits=2, sweeps=1, seed=0), LIN)
+        b = em_splh_train(splh_factors(s), TrainConfig(bits=2, sweeps=1, seed=999), LIN)
         np.testing.assert_array_equal(a, b)
 
     def test_single_bit_matches_enumeration_oracle(self):
@@ -515,7 +545,7 @@ class TestSplh:
         for n in (3, 4):
             for _ in range(5):
                 s, _ = two_class_similarity(rng, n)
-                phi = em_splh_train(s, TrainConfig(bits=1, sweeps=1, seed=0), LIN)
+                phi = em_splh_train(splh_factors(s), TrainConfig(bits=1, sweeps=1, seed=0), LIN)
                 codes, _ = round_codes(phi)
                 best, best_energy = None, np.inf
                 for key in range(2**n):
@@ -527,15 +557,17 @@ class TestSplh:
 
     def test_rejects_zero_similarity(self):
         with pytest.raises(ValueError):
-            em_splh_train(np.zeros((4, 4)), TrainConfig(bits=2, sweeps=1, seed=0), LIN)
+            em_splh_train(
+                splh_factors(np.zeros((4, 4))), TrainConfig(bits=2, sweeps=1, seed=0), LIN
+            )
 
     def test_dense_solve_size_guard(self):
         """The cap counts distinct rows (label sets), not points."""
         cfg = TrainConfig(bits=1, sweeps=1, seed=0)
         s = 2 * np.eye(5001, dtype=np.int8) - 1
         with pytest.raises(ValueError, match="at most 5000 distinct label sets, got 5001"):
-            em_splh_train(s, cfg, LIN)
-        phi = em_splh_train(np.ones((5001, 5001), dtype=np.int8), cfg, LIN)
+            em_splh_train(splh_factors(s), cfg, LIN)
+        phi = em_splh_train(splh_factors(np.ones((5001, 5001), dtype=np.int8)), cfg, LIN)
         np.testing.assert_array_equal(phi, 0.5)  # one group: a constant direction
 
 
@@ -609,7 +641,8 @@ class TestSplhLanczos:
         """n = 1500 points in 10 classes, 32 bits."""
         labels = [int(c) for c in np.random.default_rng(1).integers(0, 10, 1500)]
         sim = full_similarity(labels)
-        codes, _ = round_codes(em_splh_train(sim, TrainConfig(bits=32, sweeps=1), LIN))
+        cfg = TrainConfig(bits=32, sweeps=1)
+        codes, _ = round_codes(em_splh_train(splh_factors(sim), cfg, LIN))
         sys = splh_system_dense(sim, 2.0)
         _, vectors, chosen = homogeneous_dense(sys, LIN)
         column = renormalize_and_squash(vectors[:, chosen], sys.b, sys.scale, 2.0)
@@ -623,7 +656,7 @@ class TestSplhLanczos:
         shapes = recorded_eigh_shapes(monkeypatch)
         labels = [int(c) for c in np.random.default_rng(2).integers(0, 5, 200)]
         sim = full_similarity(labels)
-        em_splh_train(sim, TrainConfig(bits=4, sweeps=1), LIN)
+        em_splh_train(splh_factors(sim), TrainConfig(bits=4, sweeps=1), LIN)
         assert shapes
         assert all(rows == cols <= 5 for rows, cols in shapes)
         shapes.clear()
@@ -681,7 +714,8 @@ class TestSplhLanczos:
         sim = full_similarity(labels)
         cfg = TrainConfig(bits=2, sweeps=1)
         np.testing.assert_array_equal(
-            em_splh_train(sim, cfg, LIN), em_splh_train(sim.astype(float), cfg, LIN)
+            em_splh_train(splh_factors(sim), cfg, LIN),
+            em_splh_train(splh_factors(sim.astype(float)), cfg, LIN),
         )
         _, sigma, sizes = factored(sim)
         int_sys = splh_system(sigma, sizes, 2.0)
@@ -705,14 +739,14 @@ class TestSplhLanczos:
         for sizes in (np.array([1, 0]), np.array([1.0, 1.0]), np.ones(3, dtype=np.intp)):
             with pytest.raises(ValueError, match="positive integer group size"):
                 splh_system(np.eye(2, dtype=np.int8), sizes)
-        # The dense entry point checks its matrix before factoring it.
-        cfg = TrainConfig(bits=1)
+        # The trainer checks the label-set matrix it is given.
+        cfg, groups = TrainConfig(bits=1), np.arange(2)
         with pytest.raises(ValueError, match="must be square"):
-            em_splh_train(np.ones((2, 3), dtype=np.int8), cfg, LIN)
+            em_splh_train((groups, np.ones((2, 3), dtype=np.int8)), cfg, LIN)
         with pytest.raises(ValueError, match="must be symmetric"):
-            em_splh_train(np.array([[1, 1], [0, 1]], dtype=np.int8), cfg, LIN)
+            em_splh_train((groups, np.array([[1, 1], [0, 1]], dtype=np.int8)), cfg, LIN)
         with pytest.raises(ValueError, match="entries must be -1, 0 or \\+1"):
-            em_splh_train(np.array([[1, 2], [2, 1]], dtype=np.int8), cfg, LIN)
+            em_splh_train((groups, np.array([[1, 2], [2, 1]], dtype=np.int8)), cfg, LIN)
 
 
 def traced_peak(fn, *args):
@@ -742,14 +776,14 @@ class TestInt8Blocks:
         # NaN is unequal to itself, so splh_system reports it as asymmetric.
         splh_message = "must be symmetric" if np.isnan(bad).any() else "^similarity entries must be"
         with pytest.raises(ValueError, match="^similarity entries must be -1, 0 or \\+1$"):
-            SimilarityView(s=bad)
+            view_of(bad)
         with pytest.raises(ValueError, match=splh_message):
             splh_system(bad, np.ones(2, dtype=np.intp))
         with pytest.raises(ValueError, match=splh_message):
-            em_splh_train(bad, TrainConfig(bits=1), LIN)
+            em_splh_train(splh_factors(bad), TrainConfig(bits=1), LIN)
 
     def test_bool_block_reads_as_zero_and_one(self):
-        view = SimilarityView(s=np.array([[True], [False], [True]]))
+        view = view_of(np.array([[True], [False], [True]]))
         assert view.s.dtype == np.int8 and view.s.shape == (2, 1)
         np.testing.assert_array_equal(view.s[view.groups], [[1], [0], [1]])
 
@@ -782,9 +816,10 @@ class TestInt8Blocks:
             assert sys.a.shape == (4, 4) and sys.a.dtype == np.float64
 
     def test_em_splh_train_peak_at_1500_points(self):
-        """A dense input is factored by its rows; nothing n-by-n is widened to float64."""
+        """Training on the factored similarity of 1500 points widens nothing
+        n-by-n to float64."""
         labels = [int(c) for c in np.random.default_rng(10).integers(0, 10, 1500)]
-        sim = full_similarity(labels)
+        sim = splh_factors(full_similarity(labels))
         cfg = TrainConfig(bits=32, sweeps=1)
         phi, peak = traced_peak(em_splh_train, sim, cfg, LIN)
         assert len(set(map(tuple, round_codes(phi)[0]))) > 1
@@ -844,7 +879,7 @@ class TestLfh:
     def test_hand_instance_matches_direct_summation(self):
         """Two points, two bits: every term computed independently."""
         phi = np.array([[0.8, 0.3], [0.6, 0.9]])
-        view = SimilarityView(s=np.array([[1, -1], [-1, 1]], dtype=np.int8))
+        view = view_of(np.array([[1, -1], [-1, 1]], dtype=np.int8))
         sys = lfh_system(phi, view, 0, 2.0)
         x = 2.0 * phi - 1.0
         pivot = abs(float(x[0] @ x[1]))
@@ -868,7 +903,7 @@ class TestLfh:
         m, bits = 10, 32
         phi = rng.random((m, bits))
         s = random_full_similarity(rng, m)
-        view = SimilarityView(s=s)
+        view = view_of(s)
         i = 4
         ksh = ksh_anchor_system(phi, view, i, 2.0)
         lfh = lfh_system_pinned(phi, view, i, 2.0, float(bits))
@@ -888,7 +923,7 @@ class TestLfh:
 
         labels = [i % 3 for i in range(45)]
         s = np.where(np.equal.outer(labels, labels), 1, -1).astype(np.int8)
-        view = SimilarityView(s=s[:, :18])
+        view = view_of(s[:, :18])
         cfg = TrainConfig(bits=8, sweeps=3, seed=4)
         phi = em_lfh_train(view, cfg, LIN)
         np.testing.assert_array_equal(phi, em_lfh_train(view, cfg, LIN))
@@ -901,7 +936,7 @@ class TestLfh:
         rng = np.random.default_rng(39)
         labels = rng.integers(0, 4, size=80)
         s = np.where(labels[:, None] == labels[None, :20], 1, -1).astype(np.int8)
-        view = SimilarityView(s=s)
+        view = view_of(s)
         phi = em_lfh_train(view, TrainConfig(bits=6, sweeps=2, seed=1), LIN)
         np.testing.assert_array_equal(phi[20:], tail_pass(phi[:20], view, LIN, gain=2.0))
 
@@ -920,7 +955,7 @@ class TestLfh:
         labels = rng.integers(0, 3, size=m + tail)
         s = np.where(labels[:, None] == labels[None, :m], 1, -1).astype(np.int8)
         cfg = TrainConfig(bits=5, sweeps=3, seed=2)
-        em_lfh_train(SimilarityView(s=s), cfg, LIN)
+        em_lfh_train(view_of(s), cfg, LIN)
         assert len(calls) == cfg.sweeps * m
 
 
@@ -986,10 +1021,10 @@ class TestSingleBitReduction:
         for seed in range(6):
             n = int(rng.integers(8, 33))
             s, _ = two_class_similarity(rng, n)
-            view = SimilarityView(s=s)
+            view = view_of(s)
             cfg = TrainConfig(bits=1, sweeps=3, seed=seed)
             ksh_codes, _ = round_codes(em_ksh_train(view, cfg, LIN))
-            splh_codes, _ = round_codes(em_splh_train(s, cfg, LIN))
+            splh_codes, _ = round_codes(em_splh_train(splh_factors(s), cfg, LIN))
             assert np.array_equal(ksh_codes, splh_codes) or np.array_equal(
                 ksh_codes, -splh_codes
             )
@@ -999,7 +1034,7 @@ class TestSingleBitReduction:
         n = 7
         s, _ = two_class_similarity(rng, n)
         phi = rng.random((n, 1))
-        view = SimilarityView(s=s)
+        view = view_of(s)
         x = (2.0 * phi - 1.0)[:, 0]
         for i in range(n):
             sys = ksh_anchor_system(phi, view, i, 2.0)
@@ -1015,7 +1050,7 @@ class TestTailPass:
         phi1 = rng.random((m, d))
         s = rng.choice([-1, 1], size=(n, m))
         s[m + 1, :] = 0
-        view = SimilarityView(s=s)
+        view = view_of(s)
         out = tail_pass(phi1, view, LIN, gain=float(d))
         np.testing.assert_array_equal(out[1], np.full(d, 0.5))
         assert not np.all(out[0] == 0.5)
@@ -1023,14 +1058,14 @@ class TestTailPass:
     def test_default_gain_is_the_code_length(self):
         """Past the anchors, em-ksh is the shared tail at gain = code length."""
         rng = np.random.default_rng(41)
-        view = SimilarityView(s=rng.choice([-1, 0, 1], size=(30, 5)))
+        view = view_of(rng.choice([-1, 0, 1], size=(30, 5)))
         phi = em_ksh_train(view, TrainConfig(bits=7, sweeps=2, seed=1), LIN)
         np.testing.assert_array_equal(phi[5:], tail_pass(phi[:5], view, LIN, gain=7.0))
 
     def test_writes_the_tail_rows_in_place(self):
         """The tail is phi's own rows past the anchors; the anchor rows are left alone."""
         rng = np.random.default_rng(43)
-        view = SimilarityView(s=rng.choice([-1, 0, 1], size=(30, 5)).astype(np.int8))
+        view = view_of(rng.choice([-1, 0, 1], size=(30, 5)).astype(np.int8))
         phi = np.full((30, 7), np.nan)
         phi[:5] = rng.random((5, 7))
         anchors = phi[:5].copy()
@@ -1073,7 +1108,7 @@ def tail_instances(draw):
 
 def assert_tail_matches_rows(phi, s, half_range, atol):
     """ksh_tail_pass against the per-row dispatcher, one tail row at a time."""
-    view = SimilarityView(s=s)
+    view = view_of(s)
     lin = linearization(half_range)
     x = 2.0 * phi - 1.0
     a = _ksh_coupling(x)
@@ -1119,7 +1154,7 @@ class TestTailMatchesRowSolve:
 def assert_lfh_tail_matches_rows(phi, s, half_range, atol):
     """The em-lfh tail against the per-row dispatcher on each row's lfh system
     pivoted at its uninformative marginals (its x is 0, so every xi is 0)."""
-    view = SimilarityView(s=s)
+    view = view_of(s)
     lin = linearization(half_range)
     out = tail_pass(phi, view, lin, gain=2.0)
     assert out.shape == (view.n - view.m, phi.shape[1])
@@ -1173,7 +1208,7 @@ class TestSweepsMatchCheckedRows:
     @example(ksh_sweep_instance(4, 40, 64, 2.0))
     def test_ksh_sweep(self, instance):
         phi, s, half_range = instance
-        view, lin = SimilarityView(s=s), linearization(half_range)
+        view, lin = view_of(s), linearization(half_range)
         swept, checked = phi.copy(), phi.copy()
         for _ in range(2):
             energy_models._ksh_sweep(swept, view, lin)
@@ -1188,7 +1223,7 @@ class TestSweepsMatchCheckedRows:
     @example(ksh_sweep_instance(4, 40, 16, 2.0))
     def test_lfh_sweep(self, instance):
         phi, s, half_range = instance
-        view, lin = SimilarityView(s=s), linearization(half_range)
+        view, lin = view_of(s), linearization(half_range)
         swept, checked = phi.copy(), phi.copy()
         for _ in range(2):
             energy_models._lfh_sweep(swept, view, lin)
@@ -1205,7 +1240,7 @@ class TestSweepsMatchCheckedRows:
         phi, s, _ = ksh_sweep_instance(5, 6, 3, 2.0)
         before = phi.copy()
         with pytest.raises(ValueError, match="^linearization violates the solvability condition$"):
-            getattr(energy_models, sweep)(phi, SimilarityView(s=s), lin)
+            getattr(energy_models, sweep)(phi, view_of(s), lin)
         np.testing.assert_array_equal(phi, before)
 
     @pytest.mark.parametrize("train", [em_ksh_train, em_lfh_train])
@@ -1217,4 +1252,4 @@ class TestSweepsMatchCheckedRows:
         labels = rng.integers(0, 3, size=30)
         s = np.where(labels[:, None] == labels[None, :12], 1, -1).astype(np.int8)
         with pytest.raises(np.linalg.LinAlgError, match="^affine solve residual .* exceeds"):
-            train(SimilarityView(s=s), TrainConfig(bits=5, sweeps=1, seed=2), LIN)
+            train(view_of(s), TrainConfig(bits=5, sweeps=1, seed=2), LIN)

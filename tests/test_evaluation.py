@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emhash.energy_models import SimilarityView, TrainConfig, em_ksh_train, splh_energy
+from emhash.energy_models import TrainConfig, em_ksh_train
 from emhash.evaluation import (
+    _median,
     hamming_distances,
     hamming_rank,
     RELEVANCE_BLOCK,
@@ -22,9 +23,12 @@ from oracles import (
     average_precision,
     brute_force_min_energy,
     fixed_point_oracle,
+    ksh_energy,
     ksh_row_consistency,
     label_similarity,
+    splh_energy,
     splh_row_consistency,
+    view_of,
 )
 
 LIN = fit_linearization(2.0)
@@ -342,7 +346,7 @@ class TestFixedPointOracle:
             labels[0], labels[1] = 0, 1
             s = np.where(labels[:, None] == labels[None, :], 1, -1).astype(np.int8)
             cfg = TrainConfig(bits=1, sweeps=3, seed=seed)
-            trained, _ = round_codes(em_ksh_train(SimilarityView(s=s), cfg, LIN))
+            trained, _ = round_codes(em_ksh_train(view_of(s), cfg, LIN))
             result = fixed_point_oracle(ksh_row_consistency, s, cfg, max_iters=500)
             assert result.converged
             oracle_codes, _ = round_codes(result.phi)
@@ -365,16 +369,12 @@ class TestFixedPointOracle:
 
 class TestBruteForceMinEnergy:
     def test_uniform_similarity_has_zero_optimum(self):
-        from emhash.energy_models import ksh_energy
-
         s = np.ones((3, 3))
         codes, energy = brute_force_min_energy(ksh_energy, s, 2)
         assert energy == 0.0
         assert np.all(codes == codes[0])
 
     def test_antialigned_pair(self):
-        from emhash.energy_models import ksh_energy
-
         s = np.array([[1.0, -1.0], [-1.0, 1.0]])
         codes, energy = brute_force_min_energy(ksh_energy, s, 1)
         assert energy == 0.0
@@ -382,7 +382,6 @@ class TestBruteForceMinEnergy:
 
     def test_lower_bounds_the_trained_energy(self):
         from emhash.codec import round_codes
-        from emhash.energy_models import ksh_energy
 
         rng = np.random.default_rng(9)
         for seed in range(5):
@@ -390,15 +389,24 @@ class TestBruteForceMinEnergy:
             s = np.triu(raw) + np.triu(raw, 1).T
             np.fill_diagonal(s, 1)
             cfg = TrainConfig(bits=2, sweeps=3, seed=seed)
-            trained, _ = round_codes(em_ksh_train(SimilarityView(s=s), cfg, LIN))
+            trained, _ = round_codes(em_ksh_train(view_of(s), cfg, LIN))
             _, optimum = brute_force_min_energy(ksh_energy, s, 2)
             assert ksh_energy(trained, s) >= optimum - 1e-9
 
     def test_instance_too_large(self):
-        from emhash.energy_models import ksh_energy
-
         with pytest.raises(ValueError, match="too large"):
             brute_force_min_energy(ksh_energy, np.ones((5, 5)), 3)
+
+
+class TestMedian:
+    def test_matches_numpy_median_on_odd_and_even_sizes(self):
+        """Bit for bit, on sizes 1 to 199, with and without ties."""
+        rng = np.random.default_rng(11)
+        for size in range(1, 200):
+            for values in (rng.random(size), rng.integers(0, 4, size) / 4.0):
+                assert _median(values) == float(np.median(values)), size
+        assert _median(np.array([0.25, 1.0, 0.5])) == 0.5
+        assert _median(np.array([0.1, 0.2, 0.7, 0.3])) == float(np.median([0.1, 0.2, 0.7, 0.3]))
 
 
 class TestMetricsOutput:
@@ -410,11 +418,11 @@ class TestMetricsOutput:
         assert lines[0] == "map=1.000000"
         assert "queries=4" in lines
         path = tmp_path / "metrics.json"
-        write_metrics_json(path, result, extra={"bits": 2})
+        write_metrics_json(path, result)
         payload = json.loads(path.read_text())
+        assert sorted(payload) == ["map", "per_query_ap", "queries", "schema", "skipped_queries"]
         assert payload["schema"] == "emhash-metrics/1"
         assert payload["map"] == 1.0
         assert payload["queries"] == 4
         assert payload["skipped_queries"] == 0
-        assert payload["bits"] == 2
         assert len(payload["per_query_ap"]) == 4

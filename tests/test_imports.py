@@ -15,6 +15,11 @@ Every private top-level function or class is referenced in its own module,
 outside its own definition: a private helper that outlives its last caller
 is dead code.
 
+Every public top-level function or class is named by another statement of
+the package (``__init__`` aside, whose re-exports name everything) or by the
+benchmark's code under ``perfbench/``: a public function that only tests
+call is a reference, and belongs in ``tests/oracles.py``.
+
 No module widens a whole similarity block: similarity entries are checked
 without ``np.isin``, whose table method copies its input to int64, and no
 unsliced block is cast to float.  A row or block of rows (a subscript) may
@@ -22,11 +27,14 @@ be cast.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "emhash"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "emhash"
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -200,3 +208,68 @@ def test_check_sees_an_unreferenced_private_definition():
         "    raise AttributeError(name)\n"
     )
     assert unreferenced_private_definitions(source) == ["line 1: _pivots"]
+
+
+def _named(statement) -> set[str]:
+    # Names a statement reads, the attributes it takes and the names it imports.
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def unnamed_public_definitions(sources: dict[str, str], outside: str = "") -> list[str]:
+    """Public top-level functions and classes of the modules in ``sources``
+    (name -> source) that no other statement of them names and no word of
+    ``outside`` is."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            named = any(
+                node.name in _named(statement)
+                for other in trees.values()
+                for statement in other.body
+                if statement is not node
+            )
+            if not named and not re.search(rf"\b{node.name}\b", outside):
+                found.append(f"{module}: {node.name}")
+    return found
+
+
+def test_every_public_definition_is_named():
+    sources = {path.name: path.read_text() for path in MODULES}
+    outside = "\n".join(path.read_text() for path in PERFBENCH)
+    assert unnamed_public_definitions(sources, outside) == []
+
+
+def test_perfbench_alone_names_these_definitions():
+    """Names the benchmark's tracer and workload writer hold in the package:
+    free them here when the benchmark stops naming them."""
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert unnamed_public_definitions(sources) == [
+        "dataio.py: write_feature_matrix",
+        "dataio.py: write_label_file",
+        "energy_models.py: ksh_anchor_system",
+        "energy_models.py: lfh_system",
+    ]
+
+
+def test_check_sees_an_unnamed_public_definition():
+    sources = {
+        "a.py": "def used():\n    return 1\ndef recursive(x):\n    return recursive(x)\n"
+                "class Kept:\n    pass\ndef benchmarked():\n    pass\n",
+        "b.py": "from .a import used\nimport numpy as np\nvalue = np.asarray(Kept)\n",
+    }
+    assert unnamed_public_definitions(sources, "tracer wraps a.benchmarked") == [
+        "a.py: recursive",
+    ]

@@ -24,9 +24,8 @@ from emhash.mean_field import (
     solve_affine,
     solve_homogeneous,
     solve_row,
-    solve_row_system,
 )
-from oracles import solve_row_literal
+from oracles import solve_row_literal, solve_row_system
 
 
 def simpson_slope(half_range: float, panels: int = 20001) -> float:
