@@ -3,10 +3,13 @@
 Subcommands: ``train``, ``encode``, ``eval``, ``linearize``, ``synth``.
 Every option can also come from a plain-text ``key=value`` config file via
 ``--config``; explicit flags win over file values, file values win over
-defaults.  ``train`` writes a manifest in that same format (plus
-informational ``format.*`` / ``timing.*`` keys, ignored on load) and the
-other output-producing subcommands a ``<output>.manifest`` sidecar, so any
-run can be reproduced with ``--config <manifest>``.
+defaults.  argparse only collects flag values as text, so a flag's value and
+a file's value are converted and checked by the same code.  Every failure, a
+malformed command line included, is one ``emhash [<subcommand>]: ...`` line
+on stderr and exit status 1.  ``train`` writes a manifest in the config
+format (plus informational ``format.*`` / ``timing.*`` keys, ignored on
+load) and the other output-producing subcommands a ``<output>.manifest``
+sidecar, so any run can be reproduced with ``--config <manifest>``.
 
 All randomness is seeded, so repeating a run from its manifest reproduces
 the data outputs byte for byte.
@@ -126,11 +129,19 @@ class RunConfig:
         return self.values[key]
 
 
-def _convert(opt: _Opt, text: str):
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _convert(opt: _Opt, text: str, source: str):
+    # ``source`` names where the text came from: a flag or a config key.
     try:
-        return _parse_bool(text) if opt.kind is bool else opt.kind(text)
+        value = _parse_bool(text) if opt.kind is bool else opt.kind(text)
     except ValueError as exc:
-        raise CliError(f"config value for {opt.key!r}: {exc}") from None
+        raise CliError(f"{source}: {exc}") from None
+    if opt.choices and value not in opt.choices:
+        raise CliError(f"{source}: must be one of {', '.join(opt.choices)}, got {text!r}")
+    return value
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -160,17 +171,14 @@ def _resolve(subcommand: str, flag_values: dict, config_path: str | None) -> Run
         for key, text in _read_config_file(config_path).items():
             if key not in by_key:
                 raise CliError(f"config key {key!r} is not an option of {subcommand!r}")
-            values[key] = _convert(by_key[key], text)
+            values[key] = _convert(by_key[key], text, f"config value for {key!r}")
     for key, value in flag_values.items():
         if key in by_key and value is not None:
-            values[key] = value
+            # str() turns a boolean flag's True/False into text _parse_bool reads.
+            values[key] = _convert(by_key[key], str(value), _flag(key))
     for opt in opts:
         if opt.required and values[opt.key] in (None, ""):
-            raise CliError(f"missing required option --{opt.key.replace('_', '-')}")
-        if opt.choices and values[opt.key] not in opt.choices:
-            raise CliError(
-                f"--{opt.key.replace('_', '-')} must be one of {', '.join(opt.choices)}"
-            )
+            raise CliError(f"missing required option {_flag(opt.key)}")
     return RunConfig(subcommand=subcommand, values=values)
 
 
@@ -364,66 +372,51 @@ def run_synth(cfg: RunConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "train": run_train,
-    "encode": run_encode,
-    "eval": run_eval,
-    "linearize": run_linearize,
-    "synth": run_synth,
+_COMMANDS = {
+    "train": (run_train, "learn codes, fit the out-of-sample map, write outputs and a manifest"),
+    "encode": (run_encode, "encode a feature file with a trained projection model"),
+    "eval": (run_eval, "Hamming-ranking mean average precision of codes against labels"),
+    "linearize": (run_linearize, "inspect the sigmoid linearization for a half-interval"),
+    "synth": (run_synth, "generate a labeled clustered-Gaussian feature CSV"),
 }
 
-_SUMMARIES = {
-    "train": "learn codes, fit the out-of-sample map, write outputs and a manifest",
-    "encode": "encode a feature file with a trained projection model",
-    "eval": "Hamming-ranking mean average precision of codes against labels",
-    "linearize": "inspect the sigmoid linearization for a half-interval",
-    "synth": "generate a labeled clustered-Gaussian feature CSV",
-}
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises a malformed command line as a CliError."""
+
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="emhash",
         description="supervised hashing by closed-form mean-field energy minimization",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, opts in _OPTS.items():
-        sub = subparsers.add_parser(name, help=_SUMMARIES[name])
-        for opt in opts:
-            flag = "--" + opt.key.replace("_", "-")
+    for name, (_, summary) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=summary)
+        for opt in _OPTS[name]:
+            # argparse derives each dest, opt.key, from the flag; unset flags read None.
             if opt.kind is bool:
-                group = sub.add_mutually_exclusive_group()
-                group.add_argument(
-                    flag, dest=opt.key, action="store_true", default=None, help=opt.help
-                )
-                group.add_argument(
-                    "--no-" + opt.key.replace("_", "-"),
-                    dest=opt.key,
-                    action="store_false",
-                    default=None,
-                    help=f"disable {flag}",
-                )
+                action = argparse.BooleanOptionalAction
+                sub.add_argument(_flag(opt.key), action=action, help=opt.help)
             else:
-                sub.add_argument(
-                    flag,
-                    dest=opt.key,
-                    type=opt.kind,
-                    default=None,
-                    choices=opt.choices or None,
-                    help=opt.help,
-                )
-        sub.add_argument("--config", default=None, help="key=value file with option defaults")
+                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+                sub.add_argument(_flag(opt.key), metavar=metavar, help=opt.help)
+        sub.add_argument("--config", help="key=value file with option defaults")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    subcommand = args.subcommand
+    argv = sys.argv[1:] if argv is None else argv
+    prog = f"emhash {argv[0]}" if argv and argv[0] in _COMMANDS else "emhash"
     try:
-        cfg = _resolve(subcommand, vars(args), args.config)
-        return _RUNNERS[subcommand](cfg)
+        args = _build_parser().parse_args(argv)
+        cfg = _resolve(args.subcommand, vars(args), args.config)
+        return _COMMANDS[args.subcommand][0](cfg)
     except (CliError, ValueError, OSError, np.linalg.LinAlgError) as exc:
-        print(f"emhash {subcommand}: {exc}", file=sys.stderr)
+        print(f"{prog}: {exc}", file=sys.stderr)
         return 1
 
 

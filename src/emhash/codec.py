@@ -68,6 +68,8 @@ class ProjectionModel:
         if off.shape != (w.shape[0],) or sc.shape != (w.shape[0],):
             raise ValueError("offset/scale must match the feature dimension")
         for name, arr in (("weights", w), ("thresholds", t), ("offset", off), ("scale", sc)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite value in {name}")
             object.__setattr__(self, name, arr)
 
     @property
@@ -111,8 +113,8 @@ def fit_projection(features: np.ndarray, phi: np.ndarray, ridge: float = 1.0) ->
         raise ValueError(
             f"row mismatch: {features.shape[0]} feature rows vs {phi.shape[0]} code rows"
         )
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     p = features.shape[1]
     gram = np.einsum("ni,nj->ij", features, features) + ridge * np.eye(p)
     factor = np.linalg.cholesky(gram)
@@ -189,9 +191,12 @@ def load_projection(path: str | Path) -> ProjectionModel:
     thresholds = body[p * d : p * d + d]
     offset = body[p * d + d : p * d + d + p]
     scale = body[p * d + d + p :]
-    return ProjectionModel(
-        weights=weights.copy(),
-        thresholds=thresholds.copy(),
-        offset=offset.copy(),
-        scale=scale.copy(),
-    )
+    try:
+        return ProjectionModel(
+            weights=weights.copy(),
+            thresholds=thresholds.copy(),
+            offset=offset.copy(),
+            scale=scale.copy(),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

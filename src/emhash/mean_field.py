@@ -158,11 +158,16 @@ def fit_linearization(half_range: float) -> LinearizedSigmoid:
     24-node Gauss-Legendre rule; the moment is written in the rule's unit
     variable so no power of ``half_range`` can underflow.
 
-    Raises ``ValueError`` outside [MIN_HALF_RANGE, MAX_HALF_RANGE), and at or
-    past the crossover near 2.5996819 just below the upper bound: there the
-    fitted slope no longer guarantees an invertible solve.
+    Raises ``ValueError`` for NaN, outside [MIN_HALF_RANGE, MAX_HALF_RANGE),
+    and at or past the crossover near 2.5996819 just below the upper bound:
+    there the fitted slope no longer guarantees an invertible solve.
     """
-    if not half_range >= MIN_HALF_RANGE:
+    if np.isnan(half_range):
+        raise ValueError(
+            f"half_range must be a number from {MIN_HALF_RANGE} up to the solvability "
+            f"crossover near 2.5996819, got {half_range}"
+        )
+    if half_range < MIN_HALF_RANGE:
         raise ValueError(
             f"half_range must be at least {MIN_HALF_RANGE}, got {half_range}; "
             "below it the fitted slope rounds to the tangent slope 0.25"

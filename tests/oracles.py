@@ -25,12 +25,12 @@ CSV reader that the block parser of ``dataio.load_feature_matrix`` reproduces.
 precision, which ``evaluation.mean_average_precision`` computes per query.
 ``group_rows`` groups the equal rows of a dense similarity block, so that
 ``view_of`` and ``splh_factors`` give the factored inputs the trainers take;
-``ksh_energy`` and ``splh_energy`` are the energies over a dense similarity
-that the trained codes are scored by.  ``solve_row_system`` is the checked
-entry to the row kernel that the per-row references solve with, and
-``ksh_jacobi_sweep`` the parallel update of the em-ksh anchor rows, every row
-solved from the previous sweep's state, that the paper sets against the
-sequential one.
+``ksh_energy``, ``splh_energy`` and ``lfh_energy`` are the energies over a
+dense similarity that the trained codes are scored by.  ``solve_row_system``
+is the checked entry to the row kernel that the per-row references solve
+with, and ``ksh_jacobi_sweep`` and ``lfh_jacobi_sweep`` the parallel updates
+of the em-ksh and em-lfh anchor rows, every row solved from the previous
+sweep's state, that the paper sets against the sequential one.
 The rest cross-checks the closed-form training path: a damped iteration of
 the exact consistency equations, and exhaustive minimization of an energy
 over all code matrices of a tiny instance.
@@ -51,6 +51,7 @@ from emhash.energy_models import (
     _mirror_upper,
     ksh_anchor_system,
     ksh_tail_pass,
+    lfh_system,
 )
 from emhash.mean_field import (
     DEGENERATE_SPAN,
@@ -218,6 +219,23 @@ def splh_energy(codes: np.ndarray, sim_full: np.ndarray) -> float:
     return float(-0.25 * (agree.sum() - np.trace(agree)))
 
 
+def lfh_energy(codes: np.ndarray, sim_full: np.ndarray) -> float:
+    """Logistic energy: sum over observed pairs of
+    ``log(1 + exp(-similarity * code inner product))``.
+
+    The inner product is the raw one over all bits, in [-bits, bits], and
+    is not divided by the code length: it is the pivot scale of
+    ``lfh_system``, whose pair pivot is ``|expected-code inner product|``
+    and whose quadratic weight ``4 * variational_weight(pivot)`` is that of
+    the Jaakkola-Jordan bound on this loss, tight where the pivot equals
+    the pair's inner product.
+    """
+    codes, s = _validate_codes_and_similarity(codes, sim_full)
+    gram = codes @ codes.T
+    loss = np.logaddexp(0.0, -s * gram) * (s != 0)
+    return float(0.5 * (loss.sum() - np.trace(loss)))
+
+
 def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
     """Solve one validated consistency system end to end with ``mean_field.solve_row``.
 
@@ -239,6 +257,18 @@ def ksh_jacobi_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoi
     return np.array([
         solve_row_system(ksh_anchor_system(phi, sim, i, lin.half_range), lin)
         for i in range(sim.m)
+    ])
+
+
+def lfh_jacobi_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> np.ndarray:
+    """One parallel em-lfh sweep over the anchor rows ``phi``.
+
+    Every anchor row is solved from ``phi``, the previous sweep's state, with
+    ``solve_row_system(lfh_system(...))``; the new anchor marginals are
+    returned and ``phi`` is left as it was.
+    """
+    return np.array([
+        solve_row_system(lfh_system(phi, sim, i, lin.half_range), lin) for i in range(sim.m)
     ])
 
 

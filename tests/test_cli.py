@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import emhash
-from emhash.cli import main
+from emhash.cli import _OPTS, CliError, _build_parser, _resolve, main
 from emhash.dataio import (
     load_feature_matrix,
     read_codes,
@@ -417,6 +417,14 @@ class TestLinearize:
         assert err.count("\n") == 1
         assert "half_range" in err and bound in err
 
+    def test_nan_names_the_valid_interval(self, capsys):
+        """NaN is below no bound: the message gives the interval, not the lower edge."""
+        assert main(["linearize", "--linear-range", "nan"]) == 1
+        assert capsys.readouterr().err == (
+            "emhash linearize: half_range must be a number from 1e-06 up to the "
+            "solvability crossover near 2.5996819, got nan\n"
+        )
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
@@ -439,6 +447,174 @@ class TestConfigFile:
     def test_missing_required_option(self, tmp_path, capsys):
         assert main(["train", "--out-dir", str(tmp_path / "x")]) == 1
         assert "--features" in capsys.readouterr().err
+
+
+def one_line_failure(capsys, argv, prefix):
+    """Run ``argv``: exit 1, nothing on stdout, one stderr line that starts with ``prefix``."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(prefix)
+    return captured.err
+
+
+class TestMalformedCommandLines:
+    """Every malformed command line exits 1 with one line and writes nothing."""
+
+    @pytest.mark.parametrize("argv, prefix", [
+        ([], "emhash: the following arguments are required: subcommand"),
+        (["nope"], "emhash: argument subcommand: invalid choice: 'nope'"),
+        (["train", "--bogus"], "emhash train: unrecognized arguments: --bogus"),
+        (["train", "--bits"], "emhash train: argument --bits: expected one argument"),
+    ])
+    def test_parse_errors(self, capsys, argv, prefix):
+        one_line_failure(capsys, argv, prefix)
+
+    @pytest.mark.parametrize("key, text, reason", [
+        ("bits", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("ridge", "abc", "could not convert string to float: 'abc'"),
+        ("standardize", "maybe", "expected a boolean, got 'maybe'"),
+        ("method", "nope", "must be one of em-ksh, em-splh, em-lfh, got 'nope'"),
+    ])
+    def test_bad_values_by_flag_and_by_config(self, tmp_path, capsys, key, text, reason):
+        required = ["train", "--features", str(tmp_path / "data.csv"),
+                    "--out-dir", str(tmp_path / "run")]
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key}={text}\n")
+        one_line_failure(
+            capsys, [*required, "--config", str(config)],
+            f"emhash train: config value for {key!r}: {reason}\n",
+        )
+        # A boolean flag takes no value: argparse refuses the text itself.
+        by_flag = f"--{key}={text}" if key == "standardize" else f"--{key}"
+        err = one_line_failure(
+            capsys, [*required, by_flag, *([] if key == "standardize" else [text])],
+            "emhash train: ",
+        )
+        if key != "standardize":
+            assert err == f"emhash train: --{key}: {reason}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_ridge_outside_zero_to_infinity(self, tmp_path, capsys, ridge, source):
+        """Refused before the output directory is made: no all-NaN or all-zero model."""
+        data = synth(tmp_path)
+        capsys.readouterr()
+        argv = ["train", "--features", str(data), "--anchors", "20",
+                "--out-dir", str(tmp_path / "run")]
+        if source == "flag":
+            argv.append(f"--ridge={ridge}")
+        else:
+            config = tmp_path / "config.txt"
+            config.write_text(f"ridge={ridge}\n")
+            argv += ["--config", str(config)]
+        one_line_failure(capsys, argv, "emhash train: ridge must be finite and nonnegative, got ")
+        assert not (tmp_path / "run").exists()
+
+    def test_encode_refuses_a_model_with_a_nan_weight(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        model = train(tmp_path, data) / "model.emh"
+        raw = bytearray(model.read_bytes())
+        raw[24:32] = np.array([np.nan], "<f8").tobytes()  # the first weight
+        model.write_bytes(bytes(raw))
+        capsys.readouterr()
+        out = tmp_path / "enc.txt"
+        one_line_failure(
+            capsys,
+            ["encode", "--model", str(model), "--queries", str(data), "--queries-labeled",
+             "--out", str(out)],
+            f"emhash encode: {model}: non-finite value in weights\n",
+        )
+        assert not out.exists()
+
+
+def values_to_try(opt):
+    """Texts for one option: valid ones and malformed ones of its kind."""
+    if opt.choices:
+        return [*opt.choices, "nope", ""]
+    if opt.kind is int:
+        return ["3", "-2", "abc", "1.5", ""]
+    if opt.kind is float:
+        return ["0.5", "-1e-3", "1e400", "abc", ""]
+    return ["some/file.txt", ""]
+
+
+OPTION_CASES = [
+    (name, opt, text)
+    for name, opts in _OPTS.items()
+    for opt in opts
+    for text in (["true", "false"] if opt.kind is bool else values_to_try(opt))
+]
+
+
+class TestFlagsAndConfigAgree:
+    """A value given by flag or by config file resolves alike, or fails alike."""
+
+    @staticmethod
+    def resolve(argv):
+        args = _build_parser().parse_args(argv)
+        try:
+            return _resolve(args.subcommand, vars(args), args.config)
+        except CliError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize(
+        "name, opt, text", OPTION_CASES,
+        ids=[f"{name}-{opt.key}-{text or 'empty'}" for name, opt, text in OPTION_CASES],
+    )
+    def test_same_run_config_or_same_message(self, tmp_path, name, opt, text):
+        flag = "--" + opt.key.replace("_", "-")
+        base = [name]
+        for other in _OPTS[name]:
+            if other.required and other is not opt:
+                base += ["--" + other.key.replace("_", "-"), "given"]
+        config = tmp_path / "config.txt"
+        config.write_text(f"{opt.key}={text}\n")
+        by_config = self.resolve([*base, "--config", str(config)])
+        if opt.kind is bool:
+            forms = [[flag if text == "true" else "--no-" + flag[2:]]]
+        else:
+            # argparse reads a separate text that starts with "-" as an option,
+            # unless it is a plain negative number; "--x=-1e-3" always works.
+            forms = [[f"{flag}={text}"]] + ([] if text.startswith("-") else [[flag, text]])
+        for form in forms:
+            by_flag = self.resolve([*base, *form])
+            assert type(by_flag) is type(by_config)
+            if isinstance(by_flag, str):
+                assert by_flag.removeprefix(f"{flag}: ") == by_config.removeprefix(
+                    f"config value for {opt.key!r}: "
+                )
+            else:
+                assert by_flag == by_config
+
+    def test_the_last_of_a_repeated_option_wins(self):
+        assert self.resolve(["linearize", "--linear-range", "1.0", "--linear-range", "0.5"])[
+            "linear_range"
+        ] == 0.5
+        required = ["train", "--features", "f.csv", "--out-dir", "run"]
+        assert self.resolve([*required, "--standardize", "--no-standardize"])["standardize"] is False
+        assert self.resolve([*required, "--no-standardize", "--standardize"])["standardize"] is True
+
+
+class TestHelp:
+    def test_top_level_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        printed = capsys.readouterr().out
+        assert all(name in printed for name in _OPTS)
+
+    @pytest.mark.parametrize("name", list(_OPTS))
+    def test_every_choice_set_is_listed(self, capsys, name):
+        with pytest.raises(SystemExit) as done:
+            main([name, "--help"])
+        assert done.value.code == 0
+        printed = capsys.readouterr().out
+        for opt in _OPTS[name]:
+            if opt.choices:
+                assert "{" + ",".join(opt.choices) + "}" in printed
 
 
 class TestMethods:

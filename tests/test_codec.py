@@ -1,5 +1,7 @@
 """Tests for rounding, the ridge projection and model serialization."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -109,6 +111,11 @@ class TestFitProjection:
         with pytest.raises(ValueError, match="row mismatch"):
             fit_projection(np.eye(3), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
+    def test_ridge_outside_zero_to_infinity_refused(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+            fit_projection(np.eye(3), np.zeros((3, 2)), ridge=ridge)
+
 
 class TestEncode:
     def test_training_points_reproduce_codes_in_exact_fit(self):
@@ -210,6 +217,23 @@ class TestModelFile:
         path = tmp_path / "bogus.emh"
         path.write_bytes(b"NOTMODEL" + b"\0" * 32)
         with pytest.raises(ValueError, match="magic"):
+            load_projection(path)
+
+    @pytest.mark.parametrize("field", ["weights", "thresholds", "offset", "scale"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_refused(self, tmp_path, field, bad):
+        """Built directly or read from a file, a model holds only finite numbers."""
+        arrays = dict(weights=np.ones((2, 2)), thresholds=np.zeros(2),
+                      offset=np.zeros(2), scale=np.ones(2))
+        with pytest.raises(ValueError, match=f"non-finite value in {field}"):
+            ProjectionModel(**{**arrays, field: np.where(np.arange(2) == 1, bad, arrays[field])})
+        path = tmp_path / "model.emh"
+        save_projection(path, ProjectionModel(**arrays))
+        raw = bytearray(path.read_bytes())
+        offsets = {"weights": 24, "thresholds": 56, "offset": 72, "scale": 88}
+        raw[offsets[field] : offsets[field] + 8] = np.array([bad], "<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite value in {field}")):
             load_projection(path)
 
     def test_truncation_detected(self, tmp_path):

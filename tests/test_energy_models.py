@@ -55,6 +55,8 @@ from oracles import (
     ksh_jacobi_sweep,
     ksh_sweep_row_systems,
     ksh_train_rebuilding_rows,
+    lfh_energy,
+    lfh_jacobi_sweep,
     lfh_system_pinned,
     solve_row_system,
     splh_energy,
@@ -338,16 +340,17 @@ class TestSequentialBeatsParallel:
     """The paper's claim on the update schedule, at the benchmark's smoke shape.
 
     240 points in 12 classes, m = 60 anchors, 8 bits, 6 sweeps from one
-    seeded start.  The sequential state is em-ksh's own sweep; the parallel
-    one solves every anchor row from the previous sweep's state
-    (:func:`oracles.ksh_jacobi_sweep`).  Each is scored by ``ksh_energy`` of
-    its rounded anchor codes against the anchors' similarity.  The
-    sequential energy is not asserted to fall at every sweep: it rises
-    slightly at some sweeps of these seeds.
+    seeded start.  The sequential state is the trainer's own sweep; the
+    parallel one solves every anchor row from the previous sweep's state
+    (:func:`oracles.ksh_jacobi_sweep`, :func:`oracles.lfh_jacobi_sweep`).
+    Each is scored by the energy of its rounded anchor codes against the
+    anchors' similarity: ``ksh_energy`` for em-ksh, ``lfh_energy`` for
+    em-lfh.  The sequential energy is not asserted to fall at every sweep:
+    it rises slightly at some sweeps of these seeds, for both energies.
     """
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_sequential_energy_stays_below_parallel(self, seed):
+    @staticmethod
+    def energies(seed, sweep, jacobi_sweep, energy):
         rng = np.random.default_rng(seed)
         labels = [int(c) for c in rng.integers(0, 12, size=240)]
         view, _ = sample_similarity_columns(Dataset(np.zeros((240, 1)), labels), 60, seed)
@@ -356,10 +359,20 @@ class TestSequentialBeatsParallel:
         parallel = sequential.copy()
         energies = []
         for _ in range(6):
-            energy_models._ksh_sweep(sequential, view, LIN)
-            parallel = ksh_jacobi_sweep(parallel, view, LIN)
-            energies.append([ksh_energy(round_codes(phi)[0], s) for phi in (sequential, parallel)])
-        energies = np.array(energies)
+            sweep(sequential, view, LIN)
+            parallel = jacobi_sweep(parallel, view, LIN)
+            energies.append([energy(round_codes(phi)[0], s) for phi in (sequential, parallel)])
+        return np.array(energies)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sequential_energy_stays_below_parallel(self, seed):
+        energies = self.energies(seed, energy_models._ksh_sweep, ksh_jacobi_sweep, ksh_energy)
+        assert np.all(energies[:, 0] < energies[:, 1])
+        assert np.any(np.diff(energies[:, 1]) > 0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_em_lfh_sequential_energy_stays_below_parallel(self, seed):
+        energies = self.energies(seed, energy_models._lfh_sweep, lfh_jacobi_sweep, lfh_energy)
         assert np.all(energies[:, 0] < energies[:, 1])
         assert np.any(np.diff(energies[:, 1]) > 0)
 
@@ -960,6 +973,43 @@ class TestLfh:
 
 
 class TestEnergies:
+    def test_lfh_energy_matches_pair_sum(self):
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            n, d = 5, 3
+            codes = rng.choice([-1, 1], size=(n, d))
+            s = rng.choice([-1, 0, 1], size=(n, n))
+            s = np.triu(s) + np.triu(s, 1).T
+            ref = sum(
+                np.log1p(np.exp(-s[i, j] * float(codes[i] @ codes[j])))
+                for i in range(n) for j in range(i + 1, n) if s[i, j] != 0
+            )
+            assert lfh_energy(codes, s) == pytest.approx(ref, abs=1e-12)
+
+    def test_variational_weight_bounds_the_lfh_pair_loss(self):
+        """The pivot scale of ``lfh_system``: with the curvature of
+        ``variational_weight``, the pair loss ``log(1 + exp(-t))`` lies under
+        its Jaakkola-Jordan bound at pivot xi, touching it at t = +-xi.  So
+        pivots at the raw code inner products make the bound equal
+        ``lfh_energy``."""
+        t = np.linspace(-8.0, 8.0, 161)
+        for xi in (0.0, 0.5, 1.0, 3.0, 8.0):
+            bound = (np.logaddexp(0.0, -xi) - 0.5 * (t - xi)
+                     - variational_weight(xi) * (t**2 - xi**2))
+            assert np.all(np.logaddexp(0.0, -t) <= bound + 1e-12)
+            for touch in (-xi, xi):
+                k = np.argmin(np.abs(t - touch))
+                assert bound[k] == pytest.approx(np.logaddexp(0.0, -t[k]), abs=1e-12)
+        rng = np.random.default_rng(19)
+        codes = rng.choice([-1, 1], size=(6, 8))
+        s = rng.choice([-1, 0, 1], size=(6, 6))
+        s = np.triu(s, 1) + np.triu(s, 1).T
+        pair = s * (codes @ codes.T).astype(float)
+        xi = np.abs(pair)
+        bound = (np.logaddexp(0.0, -xi) - 0.5 * (pair - xi)
+                 - variational_weight(xi) * (pair**2 - xi**2)) * (s != 0)
+        assert lfh_energy(codes, s) == pytest.approx(0.5 * bound.sum(), abs=1e-12)
+
     def test_perfect_fit_is_zero(self):
         codes = np.tile([1, -1, 1], (4, 1))
         s = np.ones((4, 4))

@@ -97,12 +97,21 @@ class TestFitLinearization:
         # The smallest fit works; below it, and from the crossover up, the input is named.
         assert fit_linearization(MIN_HALF_RANGE).slope < 0.25
         assert check_condition(fit_linearization(2.5996819))
-        for half_range in (9.9e-7, 1e-8, float("nan")):
+        for half_range in (9.9e-7, 1e-8):
             with pytest.raises(ValueError, match="half_range must be at least 1e-06"):
                 fit_linearization(half_range)
         for half_range in (2.599682, 2.59969, np.nextafter(MAX_HALF_RANGE, 0.0)):
             with pytest.raises(ValueError, match="half_range must stay below the solvability"):
                 fit_linearization(half_range)
+
+    def test_nan_names_the_valid_interval(self):
+        """NaN is not below the smallest fit: the message gives the interval instead."""
+        with pytest.raises(ValueError) as caught:
+            fit_linearization(float("nan"))
+        assert str(caught.value) == (
+            "half_range must be a number from 1e-06 up to the solvability crossover "
+            "near 2.5996819, got nan"
+        )
 
     @given(st.floats(1e-6, 2.5996))
     @example(2.0)
