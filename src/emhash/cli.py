@@ -223,6 +223,10 @@ def _load_training_dataset(cfg: RunConfig) -> dataio.Dataset:
 
 def run_train(cfg: RunConfig) -> int:
     total_start = time.perf_counter()
+    # Every value that needs no data is checked before the features are read.
+    tcfg = TrainConfig(bits=cfg["bits"], sweeps=cfg["sweeps"], seed=cfg["seed"])
+    lin = mean_field.fit_linearization(cfg["linear_range"])
+    codec.check_ridge(cfg["ridge"])
     dataset = _load_training_dataset(cfg)
     if dataset.n < 1:
         raise CliError("training requires at least one point")
@@ -238,8 +242,6 @@ def run_train(cfg: RunConfig) -> int:
         offset = np.zeros(feats.shape[1])
         scale = np.ones(feats.shape[1])
 
-    lin = mean_field.fit_linearization(cfg["linear_range"])
-    tcfg = TrainConfig(bits=cfg["bits"], sweeps=cfg["sweeps"], seed=cfg["seed"])
     method = cfg["method"]
     train_start = time.perf_counter()
     if method == "em-splh":

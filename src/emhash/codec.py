@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "ProjectionModel",
     "round_codes",
+    "check_ridge",
     "fit_projection",
     "encode",
     "encode_batch",
@@ -84,6 +85,12 @@ class ProjectionModel:
         return replace(self, offset=np.asarray(offset, float), scale=np.asarray(scale, float))
 
 
+def check_ridge(ridge: float) -> None:
+    """Refuse a ridge strength outside [0, inf), NaN included."""
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
+
+
 def fit_projection(features: np.ndarray, phi: np.ndarray, ridge: float = 1.0) -> ProjectionModel:
     """Ridge-regress soft codes on features.
 
@@ -113,8 +120,7 @@ def fit_projection(features: np.ndarray, phi: np.ndarray, ridge: float = 1.0) ->
         raise ValueError(
             f"row mismatch: {features.shape[0]} feature rows vs {phi.shape[0]} code rows"
         )
-    if not 0.0 <= ridge < np.inf:
-        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
+    check_ridge(ridge)
     p = features.shape[1]
     gram = np.einsum("ni,nj->ij", features, features) + ridge * np.eye(p)
     factor = np.linalg.cholesky(gram)

@@ -529,6 +529,9 @@ def synthesize_clusters(
     """
     if clusters < 1 or per_cluster < 1 or dim < 1:
         raise ValueError("clusters, per_cluster and dim must all be >= 1")
+    for name, value in (("separation", separation), ("spread", spread)):
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     rng = np.random.default_rng(seed)
     centers = separation * rng.standard_normal((clusters, dim))
     labels = np.repeat(np.arange(clusters), per_cluster)

@@ -30,11 +30,14 @@ sweep never rebuilds a row's coupling from the other anchors: it forms the
 Gram of the anchor codes once per sweep and, after each row, applies that
 row's change as a rank-2 update, so a row costs O(bits^2) on top of its
 evidence and its solve.  Neither sweep re-validates what it builds: each
-checks the linearization once, builds every row's system in bits-by-bits
-buffers shared by all its rows, and hands it to the unchecked row kernel
-:func:`~emhash.mean_field.solve_row`.  A row's cost is then its arithmetic:
-the O(m * bits) evidence product, the O(bits^3) LU solve and O(bits^2)
-element-wise work, with no casts, symmetry scans or condition checks.
+builds every row's (a, b) in bits-by-bits buffers shared by all its rows and
+makes one call per row to the unchecked row kernel
+:func:`~emhash.mean_field.solve_row`, which forms the scale.  A row's cost is
+then its arithmetic: the O(m * bits) evidence product, the O(bits^3) LU solve
+and O(bits^2) element-wise work, with no casts, symmetry scans or condition
+checks.  :func:`ksh_anchor_system` and :func:`lfh_system`, which build one
+row as a checked :class:`~emhash.mean_field.RowSystem`, are the references
+the sweeps are tested against; no training path builds one.
 """
 
 from __future__ import annotations
@@ -49,11 +52,9 @@ from .mean_field import (
     LinearizedSigmoid,
     RowSystem,
     build_scale,
-    check_condition,
     is_exactly_symmetric,
     make_system,
     renormalize_and_squash,
-    row_scale,
     sigmoid,
     solve_affine,  # noqa: F401 -- alias the benchmark's tracer smoke test wraps and restores
     solve_homogeneous,
@@ -62,7 +63,6 @@ from .mean_field import (
 
 __all__ = [
     "TrainConfig",
-    "SharedEig",
     "ksh_anchor_system",
     "ksh_tail_systems",
     "ksh_tail_pass",
@@ -106,16 +106,9 @@ class TrainConfig:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
 
 
-@dataclass(frozen=True, eq=False)
-class SharedEig:
-    """Eigendecomposition of the matrix shared by all tail-row systems."""
-
-    vectors: np.ndarray
-    values: np.ndarray
-
-
-def eigendecompose_shared(a: np.ndarray) -> SharedEig:
-    """Symmetric eigendecomposition with orthogonality/reconstruction checks."""
+def eigendecompose_shared(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric eigendecomposition, ``(values, vectors)`` as ``eigh`` gives
+    it, with orthogonality/reconstruction checks."""
     a = np.asarray(a, dtype=float)
     values, vectors = np.linalg.eigh(a)
     dim = a.shape[0]
@@ -125,7 +118,7 @@ def eigendecompose_shared(a: np.ndarray) -> SharedEig:
     recon = np.linalg.norm((vectors * values) @ vectors.T - a)
     if recon > 1e-8 * max(np.linalg.norm(a), 1e-30):
         raise np.linalg.LinAlgError(f"eigendecomposition reconstruction off ({recon:.3e})")
-    return SharedEig(vectors=vectors, values=values)
+    return values, vectors
 
 
 def _mirror_upper(g: np.ndarray) -> np.ndarray:
@@ -191,11 +184,13 @@ def ksh_tail_systems(
 
 
 def batch_solve_shared(
-    eig: SharedEig, b_rows: np.ndarray, scales: np.ndarray, lin: LinearizedSigmoid
+    eig: tuple[np.ndarray, np.ndarray], b_rows: np.ndarray, scales: np.ndarray,
+    lin: LinearizedSigmoid,
 ) -> np.ndarray:
     """Solve a stack of systems that share one matrix, as two matrix products.
 
-    In the shared eigenbasis each solve is an elementwise product:
+    ``eig`` is :func:`eigendecompose_shared`'s pair.  In the shared eigenbasis
+    each solve is an elementwise product:
 
         v_i = 2*slope * P @ (values / (scale_i - 2*slope*values) * (P.T @ b_i / scale_i))
 
@@ -214,16 +209,17 @@ def batch_solve_shared(
     bad = np.flatnonzero(scales <= 0.0)
     if bad.size:
         raise ValueError(f"row {bad[0]} has nonpositive scale")
+    values, vectors = eig
     slope2 = 2.0 * lin.slope
-    denom = scales[:, None] - slope2 * eig.values
+    denom = scales[:, None] - slope2 * values
     bad = np.flatnonzero(np.any(denom <= 0.0, axis=1))
     if bad.size:
         raise np.linalg.LinAlgError(
             f"solvability condition violated for row {bad[0]}: the scale does not "
             "dominate the shared spectrum"
         )
-    z = (b_rows / scales[:, None]) @ eig.vectors
-    return slope2 * (((eig.values / denom) * z) @ eig.vectors.T)
+    z = (b_rows / scales[:, None]) @ vectors
+    return slope2 * (((values / denom) * z) @ vectors.T)
 
 
 def ksh_tail_pass(
@@ -292,13 +288,6 @@ def _train(
     return phi
 
 
-def _check_sweep(lin: LinearizedSigmoid) -> None:
-    # The one check of a sweep: its rows are built correct by construction
-    # and go to the unchecked row kernel.
-    if not check_condition(lin):
-        raise ValueError("linearization violates the solvability condition")
-
-
 def _ksh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> None:
     """One sequential squared-fit sweep over the anchor rows ``phi``, in place.
 
@@ -309,11 +298,10 @@ def _ksh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> 
     each term is, and the linear term is ``bits * (s_i @ X - s_ii * x_i)``.
     Once the row is solved, the rank-2 update ``G += outer(x_i', x_i') -
     outer(x_i, x_i)`` brings the Gram up to date for the next row.  Each
-    row is built in bits-by-bits buffers shared by all rows, with
-    :func:`~emhash.mean_field.make_system`'s arithmetic, and goes straight
-    to :func:`~emhash.mean_field.solve_row`.
+    row's (a, b) is built in bits-by-bits buffers shared by all rows and
+    goes straight to :func:`~emhash.mean_field.solve_row`, which forms
+    :func:`~emhash.mean_field.make_system`'s scale with the same arithmetic.
     """
-    _check_sweep(lin)
     m, bits = phi.shape
     x = 2.0 * phi - 1.0
     g = _mirror_upper(x.T @ x)
@@ -325,8 +313,7 @@ def _ksh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> 
         diagonal[:] = 0.0
         s_row = sim.s[sim.groups[i]].astype(float)
         b = float(bits) * (s_row @ x - s_row[i] * x[i])
-        scale, a_max = row_scale(a, b, lin.half_range, work)
-        phi[i] = solve_row(a, b, scale, lin, a_max)
+        phi[i] = solve_row(a, b, lin, work)
         x[i] = 2.0 * phi[i] - 1.0
         np.multiply.outer(x[i], x[i], out=work)
         work -= own
@@ -343,7 +330,6 @@ def _lfh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> 
     codes sit in one (m-1)-row buffer: row i's differs from row i-1's only
     in slot i-1, which takes row i-1's new codes.
     """
-    _check_sweep(lin)
     m, bits = phi.shape
     x = 2.0 * phi - 1.0
     others = x[1:].copy()
@@ -356,8 +342,7 @@ def _lfh_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> 
         s_row = sim.s[sim.groups[i]]
         s_others[:i], s_others[i:] = s_row[:i], s_row[i + 1 :]
         a, b = _lfh_build(others, s_others, np.abs(others @ x[i]), weighted)
-        scale, a_max = row_scale(a, b, lin.half_range, work)
-        phi[i] = solve_row(a, b, scale, lin, a_max)
+        phi[i] = solve_row(a, b, lin, work)
         x[i] = 2.0 * phi[i] - 1.0
 
 
@@ -374,14 +359,16 @@ def em_ksh_train(sim: SimilarityView, cfg: TrainConfig, lin: LinearizedSigmoid) 
     return _train(sim, cfg, lin, _ksh_sweep, float(cfg.bits))
 
 
-def splh_system(sigma: np.ndarray, sizes: np.ndarray, half_range: float = 2.0) -> RowSystem:
+def splh_system(
+    sigma: np.ndarray, sizes: np.ndarray, half_range: float = 2.0
+) -> tuple[np.ndarray, float]:
     """Consistency system shared by every bit column under the correlation
-    energy, on the groups of points with equal similarities.
+    energy, on the groups of points with equal similarities, as ``(a, scale)``.
 
     The square similarity is ``S = P sigma P.T``: ``P`` puts each point in
     one of the u groups, group g holding ``sizes[g]`` points.  The linear
-    term is exactly zero and no bit depends on another, so all bit columns
-    pose one homogeneous problem on S.  Every eigenvector of S with a
+    term is exactly zero (so none is returned) and no bit depends on
+    another, so all bit columns pose one homogeneous problem on S.  Every eigenvector of S with a
     nonzero eigenvalue is ``v = (w / sqrt(sizes))[groups]``, of the same
     norm, with w an eigenvector of the u-by-u ``D^1/2 sigma D^1/2``,
     ``D = diag(sizes)``: the returned matrix.  Each row sum of ``|S|`` is
@@ -406,7 +393,7 @@ def splh_system(sigma: np.ndarray, sizes: np.ndarray, half_range: float = 2.0) -
     a = sigma.astype(float)
     a *= root[:, None]
     a *= root
-    return RowSystem(a=a, b=np.zeros(len(sigma)), scale=nonzeros / half_range)
+    return a, nonzeros / half_range
 
 
 def check_dense_budget(sets: int) -> None:
@@ -438,12 +425,12 @@ def em_splh_train(
     if not sigma.any():
         raise ValueError("all-zero similarity admits no solution")
     sizes = np.bincount(groups, minlength=len(sigma))
-    sys = splh_system(sigma, sizes, lin.half_range)
-    y = solve_homogeneous(sys, lin) / np.sqrt(sizes)
+    a, scale = splh_system(sigma, sizes, lin.half_range)
+    y = solve_homogeneous(a, scale, lin) / np.sqrt(sizes)
     lead = groups[np.flatnonzero(np.abs(y[groups]) > 1e-12 * np.max(np.abs(y)))[0]]
     if y[lead] < 0.0:
         y = -y
-    column = renormalize_and_squash(y, np.zeros_like(y), sys.scale, lin.half_range)
+    column = renormalize_and_squash(y, np.zeros_like(y), scale, lin.half_range)
     return np.repeat(column[:, None], cfg.bits, axis=1)[groups]
 
 

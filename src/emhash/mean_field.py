@@ -17,16 +17,17 @@ matrix, which a Lanczos solve finds without forming the whole spectrum: its
 n-length products are ``einsum`` and its k-by-k tridiagonal goes to LAPACK
 ``eigh``, so the whole module needs numpy only.
 
-One row goes through one kernel, :func:`solve_row`: uninformative 0.5, the
+One row goes through one call, :func:`solve_row`: it forms the scale and the
+``A ~ 0`` test from one ``|a|``, then takes the uninformative 0.5, the
 explicit sigmoid, or the affine closed form and its squash.  It checks
 nothing, so a sweep that builds its rows correct by construction pays for no
-validation per row (:func:`row_scale` gives it the scale and the ``A ~ 0``
-test from one ``|a|``).  The validated entries :func:`solve_affine` and
-:func:`renormalize_and_squash` check their inputs, then run the kernel's own
-arithmetic; no step is written twice.
+validation per row; no solver checks :func:`check_condition`, which no
+:class:`LinearizedSigmoid` can fail.  The checked references
+:class:`RowSystem`, :func:`make_system` and :func:`solve_affine` validate
+their inputs, then run the kernel's own arithmetic; no step is written twice.
 
-Everything here is pure: no function mutates its inputs (:func:`row_scale`
-writes only the buffer it is handed for that), and
+Everything here is pure: no function mutates its inputs (:func:`solve_row`
+writes only the buffer it is handed for ``|a|``), and
 :class:`LinearizedSigmoid` / :class:`RowSystem` are immutable, so independent
 solves can run concurrently without coordination.
 """
@@ -46,7 +47,6 @@ __all__ = [
     "fit_linearization",
     "check_condition",
     "build_scale",
-    "row_scale",
     "is_exactly_symmetric",
     "solve_affine",
     "extremal_eigenpairs",
@@ -135,7 +135,7 @@ class LinearizedSigmoid:
             raise ValueError(f"intercept must be 0.5 +/- 1e-9, got {self.intercept}")
         if not 0.0 < self.slope < 0.25:
             raise ValueError(f"slope must lie in (0, 0.25), got {self.slope}")
-        if 2.0 * self.slope >= 1.0 / self.half_range:
+        if not check_condition(self):
             raise ValueError(
                 "2 * slope must stay below 1 / half_range "
                 f"(got slope={self.slope}, half_range={self.half_range})"
@@ -223,19 +223,6 @@ def _scales(abs_a: np.ndarray, b: np.ndarray, half_range: float) -> np.ndarray:
     return (abs_a.sum(axis=1) + np.abs(b)).max(axis=-1) / half_range
 
 
-def row_scale(
-    a: np.ndarray, b: np.ndarray, half_range: float, work: np.ndarray
-) -> tuple[float, float]:
-    """One row's :func:`build_scale` value and its largest ``|a[k, j]|``, unchecked.
-
-    Both come from one ``|a|``, written into ``work`` (a float64 buffer of
-    a's shape, which a sweep reuses across rows); the second is the value
-    :func:`solve_row` tests for ``A ~ 0``.
-    """
-    np.abs(a, out=work)
-    return float(_scales(work, b, half_range)), float(work.max())
-
-
 def is_exactly_symmetric(a: np.ndarray) -> bool:
     """True iff the square matrix ``a`` equals its transpose entry for entry.
 
@@ -306,8 +293,6 @@ def solve_affine(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
     """
     if sys.scale <= 0.0:
         raise ValueError("affine path requires a positive scale")
-    if not check_condition(lin):
-        raise ValueError("linearization violates the solvability condition")
     if np.max(np.abs(sys.b)) < ZERO_TOL:
         raise ValueError("affine path requires b != 0; use the homogeneous path")
     if np.max(np.abs(sys.a)) < ZERO_TOL:
@@ -392,8 +377,11 @@ def extremal_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def solve_homogeneous(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
+def solve_homogeneous(a: np.ndarray, scale: float, lin: LinearizedSigmoid) -> np.ndarray:
     """Best nonzero direction of the linearized system for b == 0.
+
+    ``a`` is the exactly symmetric matrix (not checked) and ``scale`` its
+    :func:`build_scale` value.
 
     With b = 0 the linear system has no nonzero solution, so the unit
     minimizer of ``norm((scale * inv(A) - 2*slope*I) v)`` is returned
@@ -416,18 +404,14 @@ def solve_homogeneous(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
     positive (both signs solve the problem; hashing bits are
     sign-symmetric under Hamming ranking).
     """
-    if sys.scale <= 0.0:
+    if scale <= 0.0:
         raise ValueError("homogeneous path requires a positive scale")
-    if not check_condition(lin):
-        raise ValueError("linearization violates the solvability condition")
-    if np.max(np.abs(sys.b)) >= ZERO_TOL:
-        raise ValueError("homogeneous path requires b == 0")
-    if max(float(sys.a.max()), -float(sys.a.min())) < ZERO_TOL:
+    if max(float(a.max()), -float(a.min())) < ZERO_TOL:
         raise ValueError("zero matrix admits no preferred direction")
-    values, vectors = extremal_eigenpairs(sys.a)
+    values, vectors = extremal_eigenpairs(a)
     live = np.abs(values) > ZERO_TOL * np.max(np.abs(values))
     cost = np.full(values.shape, np.inf)
-    cost[live] = np.abs(sys.scale / values[live] - 2.0 * lin.slope)
+    cost[live] = np.abs(scale / values[live] - 2.0 * lin.slope)
     v = vectors[:, int(np.argmin(cost))]
     lead = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
     if v[lead] < 0.0:
@@ -472,16 +456,16 @@ def _squash(vp: np.ndarray, half_range: float) -> np.ndarray:
 
 
 def solve_row(
-    a: np.ndarray, b: np.ndarray, scale: float, lin: LinearizedSigmoid, a_max: float
+    a: np.ndarray, b: np.ndarray, lin: LinearizedSigmoid, work: np.ndarray
 ) -> np.ndarray:
     """The row kernel: solve one consistency system end to end, unchecked.
 
-    ``a`` is the float64 exactly symmetric matrix, ``b`` the float64 vector,
-    ``scale`` their :func:`build_scale` value and ``a_max`` the largest
-    ``|a[k, j]|`` (both from :func:`row_scale`); ``lin`` must satisfy
-    :func:`check_condition`.  Nothing of this is checked here: a sweep
-    builds its rows correct by construction and checks ``lin`` once.
-    Dispatch:
+    ``a`` is the float64 exactly symmetric matrix and ``b`` the float64
+    vector; nothing of this is checked here, because a sweep builds its rows
+    correct by construction.  A row with evidence writes ``|a|`` into
+    ``work``, a float64 buffer of a's shape that a sweep reuses across rows;
+    from it come the :func:`build_scale` value and the largest ``|a[k, j]|``,
+    the ``A ~ 0`` test.  Dispatch:
 
     * b == 0 (which covers the zero system, ``scale == 0``): no observed
       similarity constrains the row, so uniform 0.5 marginals.
@@ -497,6 +481,8 @@ def solve_row(
     """
     if np.abs(b).max() < ZERO_TOL:
         return np.full(len(b), 0.5)
-    if a_max < ZERO_TOL:
+    np.abs(a, out=work)
+    scale = float(_scales(work, b, lin.half_range))
+    if work.max() < ZERO_TOL:
         return sigmoid(b / scale)
     return _squash(_affine(a, b, scale, lin.slope) + b / scale, lin.half_range)

@@ -31,6 +31,8 @@ is the checked entry to the row kernel that the per-row references solve
 with, and ``ksh_jacobi_sweep`` and ``lfh_jacobi_sweep`` the parallel updates
 of the em-ksh and em-lfh anchor rows, every row solved from the previous
 sweep's state, that the paper sets against the sequential one.
+``spectral_relaxation_codes`` are the signs of the top eigenvectors of a
+similarity, the relaxed baseline that the closed-form codes are scored against.
 The rest cross-checks the closed-form training path: a damped iteration of
 the exact consistency equations, and exhaustive minimization of an energy
 over all code matrices of a tiny instance.
@@ -59,7 +61,6 @@ from emhash.mean_field import (
     LinearizedSigmoid,
     RowSystem,
     build_scale,
-    check_condition,
     make_system,
     sigmoid,
     solve_row,
@@ -236,15 +237,30 @@ def lfh_energy(codes: np.ndarray, sim_full: np.ndarray) -> float:
     return float(0.5 * (loss.sum() - np.trace(loss)))
 
 
+def spectral_relaxation_codes(s: np.ndarray, bits: int) -> np.ndarray:
+    """Codes of the spectral relaxation of an energy over the similarity ``s``.
+
+    Dropping the sign constraint, the codes that best match ``bits * s``
+    span the eigenvectors of ``s`` with the largest eigenvalues; these are
+    the signs (zero taken as +1) of the top-``bits`` eigenvectors of a dense
+    ``eigh``, one per bit column, the first column the top eigenvector.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or not 1 <= bits <= s.shape[0]:
+        raise ValueError(f"need a square similarity of at least {bits} rows, got {s.shape}")
+    vectors = np.linalg.eigh(s)[1][:, ::-1][:, :bits]
+    return np.where(vectors >= 0.0, 1, -1).astype(np.int8)
+
+
 def solve_row_system(sys: RowSystem, lin: LinearizedSigmoid) -> np.ndarray:
     """Solve one validated consistency system end to end with ``mean_field.solve_row``.
 
-    ``RowSystem`` has checked the system; this checks ``lin`` with
-    ``check_condition``.
+    ``RowSystem`` has checked the system, and ``lin`` holds the solvability
+    condition by construction.  The kernel forms the scale again from
+    ``sys.a`` and ``sys.b``, with ``build_scale``'s arithmetic, so it equals
+    ``sys.scale`` for every system that ``make_system`` builds.
     """
-    if not check_condition(lin):
-        raise ValueError("linearization violates the solvability condition")
-    return solve_row(sys.a, sys.b, sys.scale, lin, float(np.max(np.abs(sys.a))))
+    return solve_row(sys.a, sys.b, lin, np.empty_like(sys.a))
 
 
 def ksh_jacobi_sweep(phi: np.ndarray, sim: SimilarityView, lin: LinearizedSigmoid) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import emhash
+from emhash import dataio, energy_models, mean_field
 from emhash.cli import _OPTS, CliError, _build_parser, _resolve, main
 from emhash.dataio import (
     load_feature_matrix,
@@ -513,6 +514,50 @@ class TestMalformedCommandLines:
         one_line_failure(capsys, argv, "emhash train: ridge must be finite and nonnegative, got ")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--bits", "0"], "bits must be >= 1, got 0"),
+        (["--sweeps", "0"], "sweeps must be >= 1, got 0"),
+        (["--linear-range", "nan"], "half_range must be a number from 1e-06 up to the "
+                                    "solvability crossover near 2.5996819, got nan"),
+        (["--ridge", "nan"], "ridge must be finite and nonnegative, got nan"),
+    ])
+    def test_train_refuses_values_that_need_no_data_before_reading_it(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        data = synth(tmp_path)
+        capsys.readouterr()
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the feature file was read")
+
+        monkeypatch.setattr(dataio, "load_feature_matrix", unread)
+        one_line_failure(
+            capsys,
+            ["train", "--features", str(data), "--out-dir", str(tmp_path / "run"), *argv],
+            f"emhash train: {message}\n",
+        )
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, text", [
+        ("spread", "-1"), ("separation", "-2"), ("spread", "nan"), ("separation", "inf"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_synth_refuses_a_negative_or_non_finite_scale(
+        self, tmp_path, capsys, key, text, source
+    ):
+        out = tmp_path / "s.csv"
+        argv = ["synth", "--out", str(out)]
+        if source == "flag":
+            argv.append(f"--{key}={text}")
+        else:
+            config = tmp_path / "config.txt"
+            config.write_text(f"{key}={text}\n")
+            argv += ["--config", str(config)]
+        one_line_failure(
+            capsys, argv, f"emhash synth: {key} must be finite and nonnegative, got {float(text)}\n"
+        )
+        assert list(tmp_path.iterdir()) == ([] if source == "flag" else [tmp_path / "config.txt"])
+
     def test_encode_refuses_a_model_with_a_nan_weight(self, tmp_path, capsys):
         data = synth(tmp_path)
         model = train(tmp_path, data) / "model.emh"
@@ -634,6 +679,32 @@ class TestMethods:
             "--exclude-self",
         ]) == 0
         assert "map=1.000000" in capsys.readouterr().out
+
+
+class TestNoCheckedReferenceInProduction:
+    """Training solves every system on plain arrays: it builds no checked
+    ``RowSystem`` and calls neither ``make_system`` nor ``solve_affine``, the
+    references the tests check the row kernel against."""
+
+    @pytest.mark.parametrize("method", ["em-ksh", "em-lfh", "em-splh"])
+    def test_train_is_unchanged_with_the_references_refusing(
+        self, tmp_path, monkeypatch, capsys, method
+    ):
+        data = synth(tmp_path, clusters=3)
+        plain = train(tmp_path, data, out="plain", extra=["--method", method])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training reached a checked reference")
+
+        monkeypatch.setattr(mean_field.RowSystem, "__post_init__", refuse)
+        for module in (mean_field, energy_models):
+            for name in ("make_system", "solve_affine"):
+                monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(AssertionError, match="checked reference"):
+            mean_field.RowSystem(a=np.eye(2), b=np.ones(2), scale=1.0)
+        patched = train(tmp_path, data, out="patched", extra=["--method", method])
+        for name in ("codes.txt", "model.emh"):
+            assert (patched / name).read_bytes() == (plain / name).read_bytes()
 
 
 class TestBlasThreads:

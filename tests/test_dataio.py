@@ -583,6 +583,18 @@ class TestSynthesizeClusters:
         np.testing.assert_array_equal(a.features, b.features)
         assert a.labels == b.labels
 
+    @pytest.mark.parametrize("key, value", [
+        ("separation", -2.0), ("spread", -1.0), ("separation", np.inf), ("spread", np.nan),
+        ("spread", -np.inf),
+    ])
+    def test_refuses_a_negative_or_non_finite_scale(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite and nonnegative, got "):
+            synthesize_clusters(2, 10, 4, seed=7, **{key: value})
+
+    def test_zero_scales_are_accepted(self):
+        dataset = synthesize_clusters(2, 10, 4, separation=0.0, spread=0.0, seed=7)
+        np.testing.assert_array_equal(dataset.features, np.zeros((20, 4)))
+
     def test_separation_dwarfs_spread(self):
         dataset = synthesize_clusters(2, 50, 8, seed=8)
         features = dataset.features

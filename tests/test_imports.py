@@ -20,6 +20,10 @@ the package (``__init__`` aside, whose re-exports name everything) or by the
 benchmark's code under ``perfbench/``: a public function that only tests
 call is a reference, and belongs in ``tests/oracles.py``.
 
+Every name a module lists in ``__all__`` is bound at its top level, by a
+definition, an assignment or an import: a stale entry breaks ``from
+emhash.<module> import *`` although every other use of the module works.
+
 No module widens a whole similarity block: similarity entries are checked
 without ``np.isin``, whose table method copies its input to int64, and no
 unsliced block is cast to float.  A row or block of rows (a subscript) may
@@ -58,6 +62,76 @@ def unused_imports(source: str) -> list[str]:
         ):
             used |= {elt.value for elt in node.value.elts}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def _bound_names(statement) -> set[str]:
+    # Names a top-level statement binds in its module.
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, (ast.Import, ast.ImportFrom)):
+        return {alias.asname or alias.name.split(".")[0] for alias in statement.names}
+    targets = []
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
+        targets = [statement.target]
+    return {
+        node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)
+    }
+
+
+def stale_all_entries(source: str) -> list[str]:
+    """Names listed in ``__all__`` that the module's top level never binds."""
+    tree = ast.parse(source)
+    bound = set().union(*(_bound_names(statement) for statement in tree.body))
+    listed = [
+        (elt.lineno, elt.value)
+        for statement in tree.body
+        if isinstance(statement, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets)
+        for elt in statement.value.elts
+    ]
+    return [f"line {line}: {name}" for line, name in listed if name not in bound]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_all_entry_is_bound(path):
+    assert stale_all_entries(path.read_text()) == []
+
+
+def test_check_sees_a_stale_all_entry():
+    source = (
+        "from dataclasses import dataclass\n"
+        "import numpy.linalg as la\n"
+        "__all__ = [\n"
+        "    'solve_row',\n"
+        "    'row_scale',\n"
+        "    'SharedEig',\n"
+        "    'ZERO_TOL',\n"
+        "    'LO',\n"
+        "    'HI',\n"
+        "    'dataclass',\n"
+        "    'la',\n"
+        "    'MISSING',\n"
+        "]\n"
+        "ZERO_TOL = 1e-12\n"
+        "LO, HI = 0, 1\n"
+        "def solve_row(a, b, lin, work):\n"
+        "    row_scale = 1.0\n"
+        "    return row_scale\n"
+        "class Kept:\n"
+        "    SharedEig = None\n"
+    )
+    assert stale_all_entries(source) == [
+        "line 5: row_scale",
+        "line 6: SharedEig",
+        "line 12: MISSING",
+    ]
+    # The package's own module, with a deleted function still listed.
+    source = (SRC / "mean_field.py").read_text()
+    mutant = source.replace('    "build_scale",\n', '    "build_scale",\n    "row_scale",\n', 1)
+    assert mutant != source
+    assert [entry.split(": ")[1] for entry in stale_all_entries(mutant)] == ["row_scale"]
 
 
 # Names that hold a whole similarity block in the program: the view's ``.s``

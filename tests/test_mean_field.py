@@ -19,7 +19,6 @@ from emhash.mean_field import (
     fit_linearization,
     make_system,
     renormalize_and_squash,
-    row_scale,
     sigmoid,
     solve_affine,
     solve_homogeneous,
@@ -159,6 +158,20 @@ class TestCheckCondition:
         """Fitted slopes keep the condition across the whole valid range."""
         for half_range in np.arange(0.1, 2.51, 0.1):
             assert check_condition(fit_linearization(float(half_range)))
+
+    def test_construction_refuses_a_failing_linearization(self):
+        """Every other invariant holds here; 2 * 0.2 * 2.5 = 1 fails the condition alone."""
+        with pytest.raises(ValueError, match="^2 \\* slope must stay below 1 / half_range "):
+            LinearizedSigmoid(2.5, 0.2, 0.5)
+        assert LinearizedSigmoid(2.5, 0.1999, 0.5).slope == 0.1999
+
+    def test_construction_states_the_condition_through_check_condition(self, monkeypatch):
+        """The formula lives in one function: the constructor asks it."""
+        import emhash.mean_field as mean_field
+
+        monkeypatch.setattr(mean_field, "check_condition", lambda lin: False)
+        with pytest.raises(ValueError, match="^2 \\* slope must stay below 1 / half_range "):
+            LinearizedSigmoid(2.0, 0.2109, 0.5)
 
 
 class TestBuildScale:
@@ -304,7 +317,7 @@ class TestSolveHomogeneous:
         """diag(2, 1): transformed magnitudes (0.0782, 0.5782), top wins."""
         sys = make_system(np.diag([2.0, 1.0]), np.zeros(2), 2.0)
         assert sys.scale == 1.0
-        v = solve_homogeneous(sys, LinearizedSigmoid(2.0, 0.2109, 0.5))
+        v = solve_homogeneous(sys.a, sys.scale, LinearizedSigmoid(2.0, 0.2109, 0.5))
         np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-12)
 
     def test_sign_convention(self):
@@ -314,7 +327,7 @@ class TestSolveHomogeneous:
             d = int(rng.integers(2, 9))
             a = rng.normal(size=(d, d))
             a = np.triu(a) + np.triu(a, 1).T
-            v = solve_homogeneous(make_system(a, np.zeros(d), 2.0), lin)
+            v = solve_homogeneous(a, build_scale(a, np.zeros(d), 2.0), lin)
             lead = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
             assert v[lead] > 0.0
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -330,27 +343,15 @@ class TestSolveHomogeneous:
             if abs(np.linalg.det(a)) < 1e-6:
                 continue
             sys = make_system(a, np.zeros(d), 2.0)
-            v = solve_homogeneous(sys, lin)
+            v = solve_homogeneous(sys.a, sys.scale, lin)
             m = sys.scale * np.linalg.inv(a) - 2.0 * lin.slope * np.eye(d)
             _, _, vt = np.linalg.svd(m)
             assert abs(float(v @ vt[-1])) >= 1.0 - 1e-8
 
-    def test_rejects_zero_matrix_and_nonzero_b(self):
+    def test_rejects_zero_matrix(self):
         lin = fit_linearization(2.0)
         with pytest.raises(ValueError, match="direction"):
-            solve_homogeneous(RowSystem(a=np.zeros((2, 2)), b=np.zeros(2), scale=1.0), lin)
-        with pytest.raises(ValueError):
-            solve_homogeneous(make_system(np.eye(2), np.ones(2), 2.0), lin)
-
-    def test_refuses_linearization_failing_the_condition(self):
-        """Only then is the winner one of the two extremal eigenpairs."""
-        lin = raw_linearization(2.0, 0.25)
-        assert not check_condition(lin)
-        sys = make_system(np.diag([2.0, 1.0]), np.zeros(2), 2.0)
-        with pytest.raises(ValueError, match="^linearization violates the solvability condition$"):
-            solve_homogeneous(sys, lin)
-        with pytest.raises(ValueError, match="^linearization violates the solvability condition$"):
-            solve_affine(make_system(np.diag([2.0, 1.0]), np.ones(2), 2.0), lin)
+            solve_homogeneous(np.zeros((2, 2)), 1.0, lin)
 
 
 class TestRenormalizeAndSquash:
@@ -480,10 +481,11 @@ class TestSolveRow:
     def test_matches_the_checked_entry_bit_for_bit(self, instance):
         a, b, half_range = instance
         lin = fit_linearization(half_range)
-        scale, a_max = row_scale(a, b, half_range, np.empty_like(a))
-        got = solve_row(a, b, scale, lin, a_max)
+        work = np.empty_like(a)
+        got = solve_row(a, b, lin, work)
         sys = make_system(a, b, half_range)
-        assert scale == sys.scale and a_max == np.max(np.abs(a))
+        if np.max(np.abs(b)) >= ZERO_TOL:  # a row with evidence leaves |a| in work
+            assert work.tobytes() == np.abs(a).tobytes()
         for want in (solve_row_system(sys, lin), solve_row_literal(sys, lin)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -492,8 +494,8 @@ class TestSolveRow:
         for a_gain, b_gain, branch in ((1.0, 0.0, "uninformative"), (0.0, 1.0, "explicit"),
                                        (1e-15, 1.0, "explicit"), (1.0, 1.0, "affine")):
             a, b, _ = fixed_row(7, 5, 2.0, a_gain, b_gain)
-            scale, a_max = row_scale(a, b, 2.0, np.empty_like(a))
-            out = solve_row(a, b, scale, lin, a_max)
+            scale, a_max = build_scale(a, b, 2.0), np.max(np.abs(a))
+            out = solve_row(a, b, lin, np.empty_like(a))
             assert (a_max < ZERO_TOL) == (a_gain < 1.0)
             if branch == "uninformative":
                 np.testing.assert_array_equal(out, np.full(5, 0.5))
@@ -508,8 +510,7 @@ class TestSolveRow:
         """The kernel keeps the RESIDUAL_TOL guard of the affine closed form."""
         a, b, _ = fixed_row(8, 5, 2.0)
         lin = fit_linearization(2.0)
-        scale, a_max = row_scale(a, b, 2.0, np.empty_like(a))
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: solve(lhs, rhs) + 1e-3)
         with pytest.raises(np.linalg.LinAlgError, match="^affine solve residual .* exceeds"):
-            solve_row(a, b, scale, lin, a_max)
+            solve_row(a, b, lin, np.empty_like(a))
