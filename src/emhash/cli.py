@@ -213,8 +213,6 @@ def _load_training_dataset(cfg: RunConfig) -> dataio.Dataset:
             raise CliError(f"label file not found: {labels_path}")
         loaded = dataio.load_feature_matrix(features_path, cfg["features_format"])
         labels = dataio.load_label_file(labels_path)
-        if len(labels) != loaded.n:
-            raise CliError(f"{len(labels)} labels for {loaded.n} points")
         return dataio.Dataset(features=loaded.features, labels=labels)
     if cfg["features_format"] == "binary":
         raise CliError("binary feature files carry no labels; pass --labels")
@@ -282,7 +280,9 @@ def run_train(cfg: RunConfig) -> int:
         "\n".join(repr(float(t)) for t in thresholds) + "\n"
     )
     extras = {
-        "format.codes": "EMHBIN01" if cfg["codes_format"] == "packed" else "text-v1",
+        "format.codes": (
+            dataio.CODES_MAGIC.decode() if cfg["codes_format"] == "packed" else "text-v1"
+        ),
         "format.matrix": dataio.MATRIX_MAGIC.decode(),
         "format.model": codec.MODEL_MAGIC.decode(),
         "timing.train_seconds": f"{train_seconds:.6f}",
@@ -417,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _resolve(args.subcommand, vars(args), args.config)
         return _COMMANDS[args.subcommand][0](cfg)
-    except (CliError, ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (CliError, ValueError, OSError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"{prog}: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dataio
+
 __all__ = [
     "ProjectionModel",
     "round_codes",
@@ -64,6 +66,10 @@ class ProjectionModel:
         sc = np.asarray(self.scale, dtype=float)
         if w.ndim != 2:
             raise ValueError(f"weights must be 2-d, got shape {w.shape}")
+        if 0 in w.shape:
+            raise ValueError(
+                f"a model needs at least one feature and one bit, got weights of shape {w.shape}"
+            )
         if t.shape != (w.shape[1],):
             raise ValueError("one threshold per bit required")
         if off.shape != (w.shape[0],) or sc.shape != (w.shape[0],):
@@ -163,46 +169,25 @@ def encode_batch(model: ProjectionModel, features: np.ndarray) -> np.ndarray:
 
 
 def save_projection(path: str | Path, model: ProjectionModel) -> None:
-    """Write a projection model to its flat binary layout.
+    """Write a projection model as an ``EMHMOD01`` frame (layout in :mod:`emhash.dataio`).
 
-    Layout, all little-endian: 8-byte magic, unsigned 64-bit feature dim
-    and bits, then float64 weights (row-major), thresholds, offset, scale.
     The byte stream is a pure function of the model, so identical models
     serialize identically.
     """
-    p, d = model.weights.shape
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(np.array([p, d], dtype="<u8").tobytes())
-        fh.write(model.weights.astype("<f8").tobytes())
-        fh.write(model.thresholds.astype("<f8").tobytes())
-        fh.write(model.offset.astype("<f8").tobytes())
-        fh.write(model.scale.astype("<f8").tobytes())
+    arrays = (model.weights.ravel(), model.thresholds, model.offset, model.scale)
+    dataio.write_frame(path, MODEL_MAGIC, *model.weights.shape, np.concatenate(arrays, dtype="<f8"))
 
 
 def load_projection(path: str | Path) -> ProjectionModel:
     """Read a projection model written by :func:`save_projection`."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != MODEL_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a projection model file")
-    if len(raw) < 24:
-        raise ValueError(f"{path}: truncated header")
-    header = np.frombuffer(raw, dtype="<u8", count=2, offset=8)
-    p, d = int(header[0]), int(header[1])
-    need = 8 + 16 + 8 * (p * d + d + p + p)
-    if len(raw) != need:
-        raise ValueError(f"{path}: truncated or oversized payload ({len(raw)} vs {need} bytes)")
-    body = np.frombuffer(raw, dtype="<f8", offset=24)
-    weights = body[: p * d].reshape(p, d)
-    thresholds = body[p * d : p * d + d]
-    offset = body[p * d + d : p * d + d + p]
-    scale = body[p * d + d + p :]
+    p, d, payload = dataio.read_frame(
+        path, MODEL_MAGIC, "projection model", lambda p, d: 8 * (p * d + d + p + p)
+    )
+    body = np.frombuffer(payload, dtype="<f8").astype(float)
+    weights, thresholds, offset, scale = np.split(body, [p * d, p * d + d, p * d + d + p])
     try:
         return ProjectionModel(
-            weights=weights.copy(),
-            thresholds=thresholds.copy(),
-            offset=offset.copy(),
-            scale=scale.copy(),
+            weights=weights.reshape(p, d), thresholds=thresholds, offset=offset, scale=scale
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -17,13 +17,17 @@ the relevance blocks of evaluation -- comes from one builder,
 counts as the singleton tag set ``{c}`` and unlabeled positions are listed
 apart.
 
-Binary layouts (all little-endian, magic first for corruption detection):
+Every binary file is one little-endian frame, written by :func:`write_frame`
+and checked by :func:`read_frame`: an 8-byte magic (first, for corruption
+detection), two u64 counts, then a payload whose size the counts fix.
 
-* feature matrix ``EMHMAT01``: magic, u64 rows, u64 columns, then
-  rows*columns float32 values row-major.
-* packed codes ``EMHBIN01``: magic, u64 rows, u64 bits, then ceil(bits/8)
-  bytes per row; bit value 1 means +1, most-significant bit first, zero
-  padding in the final byte.
+* feature matrix ``EMHMAT01``: rows, columns; rows*columns float32 values
+  row-major.
+* packed codes ``EMHBIN01``: rows, bits; ceil(bits/8) bytes per row; bit
+  value 1 means +1, most-significant bit first, zero padding in the final
+  byte.
+* projection model ``EMHMOD01`` (:mod:`emhash.codec`): feature dim p, bits
+  d; float64 weights (p*d, row-major), d thresholds, p offsets, p scales.
 
 Loaded datasets are immutable in spirit: nothing here mutates them, and
 on-demand similarity evaluation is pure, so shared use across threads is safe.
@@ -41,6 +45,8 @@ __all__ = [
     "SimilarityView",
     "MATRIX_MAGIC",
     "CODES_MAGIC",
+    "write_frame",
+    "read_frame",
     "load_feature_matrix",
     "write_feature_matrix",
     "write_feature_csv",
@@ -142,7 +148,9 @@ def load_feature_matrix(path: str | Path, fmt: str = "csv", labeled: bool = Fals
     if fmt == "binary":
         if labeled:
             raise ValueError("the binary matrix format does not carry labels")
-        return _load_binary_matrix(path)
+        n, p, payload = read_frame(path, MATRIX_MAGIC, "feature matrix", lambda n, p: 4 * n * p)
+        values = np.frombuffer(payload, dtype="<f4").astype(float).reshape(n, p)
+        return Dataset(features=values)
     if fmt != "csv":
         raise ValueError(f"unknown feature format {fmt!r}")
     blocks: list[np.ndarray] = []
@@ -194,29 +202,40 @@ def _parse_csv_rows(pending: list, path: Path) -> np.ndarray:
         return np.array(rows, dtype=float)
 
 
-def _load_binary_matrix(path: Path) -> Dataset:
-    raw = path.read_bytes()
-    if raw[:8] != MATRIX_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a feature matrix file")
+def write_frame(path: str | Path, magic: bytes, rows: int, cols: int, payload) -> None:
+    """Write one frame: ``magic``, the two counts as u64, then ``payload``,
+    any C-contiguous bytes-like object (a numpy array is written uncopied)."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(np.array([rows, cols], dtype="<u8").tobytes())
+        fh.write(payload)
+
+
+def read_frame(path: str | Path, magic: bytes, kind: str, payload_size) -> tuple:
+    """Read a frame written by :func:`write_frame` as ``(rows, cols, payload)``.
+
+    ``kind`` names the format in the bad-magic message, and
+    ``payload_size(rows, cols)`` gives the payload's length in bytes.  Raises
+    ``ValueError`` naming ``path`` for a wrong magic, a header shorter than
+    24 bytes, or a payload of any other length.
+    """
+    raw = Path(path).read_bytes()
+    if raw[:8] != magic:
+        raise ValueError(f"{path}: bad magic, not a {kind} file")
     if len(raw) < 24:
         raise ValueError(f"{path}: truncated header")
-    header = np.frombuffer(raw, dtype="<u8", count=2, offset=8)
-    n, p = int(header[0]), int(header[1])
-    need = 24 + 4 * n * p
+    rows, cols = np.frombuffer(raw, dtype="<u8", count=2, offset=8).tolist()
+    need = 24 + payload_size(rows, cols)
     if len(raw) != need:
         raise ValueError(f"{path}: truncated or oversized payload ({len(raw)} vs {need} bytes)")
-    values = np.frombuffer(raw, dtype="<f4", offset=24).astype(float).reshape(n, p)
-    return Dataset(features=values)
+    return rows, cols, memoryview(raw)[24:]
 
 
 def write_feature_matrix(path: str | Path, features: np.ndarray) -> None:
     """Write features in the binary matrix layout (values stored as float32)."""
     features = np.asarray(features, dtype=float)
     n, p = features.shape
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(np.array([n, p], dtype="<u8").tobytes())
-        fh.write(features.astype("<f4").tobytes())
+    write_frame(path, MATRIX_MAGIC, n, p, np.ascontiguousarray(features, dtype="<f4"))
 
 
 def write_feature_csv(path: str | Path, features: np.ndarray, labels: list | None = None) -> None:
@@ -457,12 +476,7 @@ def write_codes(path: str | Path, codes: np.ndarray, fmt: str = "text") -> None:
     if fmt != "packed":
         raise ValueError(f"unknown codes format {fmt!r}")
     n, d = codes.shape
-    with open(path, "wb") as fh:
-        fh.write(CODES_MAGIC)
-        fh.write(np.array([n, d], dtype="<u8").tobytes())
-        if n and d:
-            bits = (codes > 0).astype(np.uint8)
-            fh.write(np.packbits(bits, axis=1).tobytes())
+    write_frame(path, CODES_MAGIC, n, d, np.packbits(codes > 0, axis=1))
 
 
 def read_codes(path: str | Path, fmt: str = "text") -> np.ndarray:
@@ -492,22 +506,10 @@ def read_codes(path: str | Path, fmt: str = "text") -> np.ndarray:
         return np.where(negative, np.int8(-1), np.int8(1)).reshape(rows, width)
     if fmt != "packed":
         raise ValueError(f"unknown codes format {fmt!r}")
-    raw = path.read_bytes()
-    if raw[:8] != CODES_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a packed codes file")
-    if len(raw) < 24:
-        raise ValueError(f"{path}: truncated header")
-    header = np.frombuffer(raw, dtype="<u8", count=2, offset=8)
-    n, d = int(header[0]), int(header[1])
-    row_bytes = (d + 7) // 8
-    need = 24 + n * row_bytes
-    if len(raw) != need:
-        raise ValueError(f"{path}: truncated or oversized payload ({len(raw)} vs {need} bytes)")
-    if n == 0 or d == 0:
-        return np.zeros((n, d), dtype=np.int8)
-    packed = np.frombuffer(raw, dtype=np.uint8, offset=24).reshape(n, row_bytes)
+    n, d, payload = read_frame(path, CODES_MAGIC, "packed codes", lambda n, d: n * ((d + 7) // 8))
+    packed = np.frombuffer(payload, dtype=np.uint8).reshape(n, (d + 7) // 8)
     bits = np.unpackbits(packed, axis=1)
-    if row_bytes * 8 > d and bits[:, d:].any():
+    if bits[:, d:].any():
         raise ValueError(f"{path}: nonzero padding bits")
     return (bits[:, :d].astype(np.int8) * 2 - 1).astype(np.int8)
 

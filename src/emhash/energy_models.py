@@ -81,6 +81,10 @@ __all__ = [
 # float64 matrix, 200 MB at this cap, whatever the number of points.
 MAX_DENSE_POINTS = 5000
 
+# Code length: em-ksh and em-lfh hold bits-by-bits float64 arrays, 200 MB each
+# at this cap, the budget of em-splh's matrix.
+MAX_BITS = 5000
+
 # The tail's systems, one per group of points, are built, cast and solved in
 # fixed blocks of this many, independent of input and thread count, so peak
 # temporary memory stays bounded.
@@ -102,6 +106,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
+        if self.bits > MAX_BITS:
+            raise ValueError(f"bits must be <= {MAX_BITS}, got {self.bits}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import emhash
-from emhash import dataio, energy_models, mean_field
+from emhash import cli, dataio, energy_models, mean_field
 from emhash.cli import _OPTS, CliError, _build_parser, _resolve, main
 from emhash.dataio import (
     load_feature_matrix,
@@ -112,6 +112,51 @@ class TestTrain:
         assert f"{data}:2: bad label 'x'" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_label_file_of_the_wrong_length(self, tmp_path, capsys):
+        features = tmp_path / "m.emh"
+        dataio.write_feature_matrix(features, np.ones((5, 2)))
+        labels = tmp_path / "labels.txt"
+        write_label_file(labels, [0, 1, 0])
+        one_line_failure(
+            capsys,
+            ["train", "--features", str(features), "--features-format", "binary",
+             "--labels", str(labels), "--anchors", "2", "--out-dir", str(tmp_path / "run")],
+            "emhash train: 3 labels for 5 points\n",
+        )
+        assert not (tmp_path / "run").exists()
+
+    def test_features_without_columns_are_refused(self, tmp_path, capsys):
+        """No model of zero features is written: every query would encode to all +1."""
+        features = tmp_path / "m.emh"
+        dataio.write_feature_matrix(features, np.zeros((5, 0)))
+        labels = tmp_path / "labels.txt"
+        write_label_file(labels, [0, 1, 0, 1, 0])
+        one_line_failure(
+            capsys,
+            ["train", "--features", str(features), "--features-format", "binary",
+             "--labels", str(labels), "--bits", "4", "--anchors", "2",
+             "--out-dir", str(tmp_path / "run")],
+            "emhash train: a model needs at least one feature and one bit, "
+            "got weights of shape (0, 4)\n",
+        )
+        assert not (tmp_path / "run").exists()
+
+    def test_an_allocation_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        data = synth(tmp_path)
+        capsys.readouterr()
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, "em_ksh_train", too_large)
+        one_line_failure(
+            capsys,
+            ["train", "--features", str(data), "--anchors", "20",
+             "--out-dir", str(tmp_path / "run")],
+            "emhash train: Unable to allocate 74.5 GiB for an array\n",
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_splh_warns_about_identical_bits(self, tmp_path, capsys):
         data = synth(tmp_path)
         out_dir = tmp_path / "splh"
@@ -205,6 +250,24 @@ class TestEncode:
         assert code == 1
         assert f"{model}: truncated header" in capsys.readouterr().err
         assert not (tmp_path / "enc.txt").exists()
+
+    def test_model_of_zero_bits(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        model = tmp_path / "model.emh"
+        # Feature dim 8, 0 bits: no weights or thresholds, then 8 offsets and 8 scales.
+        header = np.array([8, 0], dtype="<u8").tobytes()
+        model.write_bytes(b"EMHMOD01" + header + np.zeros(8, "<f8").tobytes()
+                          + np.ones(8, "<f8").tobytes())
+        capsys.readouterr()
+        out = tmp_path / "enc.txt"
+        one_line_failure(
+            capsys,
+            ["encode", "--model", str(model), "--queries", str(data), "--queries-labeled",
+             "--out", str(out)],
+            f"emhash encode: {model}: a model needs at least one feature and one bit, "
+            "got weights of shape (8, 0)\n",
+        )
+        assert not out.exists()
 
     def test_feature_dimension_mismatch(self, tmp_path, capsys):
         data = synth(tmp_path)
@@ -516,6 +579,7 @@ class TestMalformedCommandLines:
 
     @pytest.mark.parametrize("argv, message", [
         (["--bits", "0"], "bits must be >= 1, got 0"),
+        (["--bits", "5001"], "bits must be <= 5000, got 5001"),
         (["--sweeps", "0"], "sweeps must be >= 1, got 0"),
         (["--linear-range", "nan"], "half_range must be a number from 1e-06 up to the "
                                     "solvability crossover near 2.5996819, got nan"),

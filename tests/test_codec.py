@@ -236,6 +236,17 @@ class TestModelFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite value in {field}")):
             load_projection(path)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_features_or_bits_refused(self, shape):
+        p, d = shape
+        with pytest.raises(ValueError, match=re.escape(
+            f"a model needs at least one feature and one bit, got weights of shape {shape}"
+        )):
+            ProjectionModel(
+                weights=np.zeros(shape), thresholds=np.zeros(d),
+                offset=np.zeros(p), scale=np.ones(p),
+            )
+
     def test_truncation_detected(self, tmp_path):
         model = ProjectionModel(
             weights=np.ones((2, 2)), thresholds=np.zeros(2),

@@ -1,5 +1,6 @@
 """Tests for file formats, similarity derivation and anchor sampling."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from emhash import dataio
+from emhash import codec, dataio
 from emhash.dataio import (
     Dataset,
     check_signs,
@@ -285,6 +286,106 @@ class TestBinaryMatrix:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="truncated"):
             load_feature_matrix(path, "binary")
+
+
+# One small valid file of each binary format: (kind, writer, reader).  Each
+# payload is non-empty, so it can be cut short by one byte.
+FRAMED_FORMATS = {
+    "feature matrix": (
+        lambda path: write_feature_matrix(path, np.arange(6.0).reshape(2, 3)),
+        lambda path: load_feature_matrix(path, "binary"),
+    ),
+    "packed codes": (
+        lambda path: write_codes(path, np.ones((3, 11), dtype=np.int8), "packed"),
+        lambda path: read_codes(path, "packed"),
+    ),
+    "projection model": (
+        lambda path: codec.save_projection(path, codec.ProjectionModel(
+            weights=np.ones((2, 3)), thresholds=np.zeros(3), offset=np.zeros(2), scale=np.ones(2),
+        )),
+        codec.load_projection,
+    ),
+}
+
+
+class TestBinaryFrame:
+    """The three binary formats share one frame and its checks."""
+
+    @pytest.mark.parametrize("kind", FRAMED_FORMATS)
+    def test_bad_magic_names_the_path_and_the_kind(self, tmp_path, kind):
+        write, read = FRAMED_FORMATS[kind]
+        path = tmp_path / "file.emh"
+        write(path)
+        path.write_bytes(b"WRONGMAG" + path.read_bytes()[8:])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad magic, not a {kind} file")):
+            read(path)
+
+    @pytest.mark.parametrize("kind", FRAMED_FORMATS)
+    @pytest.mark.parametrize("size", [8, 16, 23])
+    def test_short_header(self, tmp_path, kind, size):
+        write, read = FRAMED_FORMATS[kind]
+        path = tmp_path / "file.emh"
+        write(path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated header$"):
+            read(path)
+
+    @pytest.mark.parametrize("kind", FRAMED_FORMATS)
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_payload_one_byte_short_or_long(self, tmp_path, kind, change):
+        write, read = FRAMED_FORMATS[kind]
+        path = tmp_path / "file.emh"
+        write(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1] if change < 0 else raw + b"\0")
+        message = (
+            f"{path}: truncated or oversized payload ({len(raw) + change} vs {len(raw)} bytes)"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(path)
+
+    def test_nonzero_padding_bits_refused(self, tmp_path):
+        path = tmp_path / "codes.bin"
+        write_codes(path, np.array([[1, -1, 1]], dtype=np.int8), "packed")
+        raw = bytearray(path.read_bytes())
+        raw[24] |= 0b00000001  # the last of the five padding bits
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: nonzero padding bits$"):
+            read_codes(path, "packed")
+
+    def test_feature_matrix_golden_bytes(self, tmp_path):
+        path = tmp_path / "m.emh"
+        write_feature_matrix(path, np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -0.25]]))
+        assert path.read_bytes() == bytes.fromhex(
+            "454d484d41543031"  # EMHMAT01
+            "0200000000000000"  # 2 rows
+            "0300000000000000"  # 3 columns
+            "0000803f" "000000c0" "0000003f"  # 1.0, -2.0, 0.5 as float32
+            "00004040" "00000000" "000080be"  # 3.0, 0.0, -0.25
+        )
+        np.testing.assert_array_equal(
+            load_feature_matrix(path, "binary").features, [[1.0, -2.0, 0.5], [3.0, 0.0, -0.25]]
+        )
+
+    def test_projection_model_golden_bytes(self, tmp_path):
+        path = tmp_path / "model.emh"
+        model = codec.ProjectionModel(
+            weights=np.array([[1.0, -2.0]]), thresholds=np.array([0.5, 0.0]),
+            offset=np.array([3.0]), scale=np.array([0.25]),
+        )
+        codec.save_projection(path, model)
+        assert path.read_bytes() == bytes.fromhex(
+            "454d484d4f443031"  # EMHMOD01
+            "0100000000000000"  # feature dim 1
+            "0200000000000000"  # 2 bits
+            "000000000000f03f" "00000000000000c0"  # weights 1.0, -2.0 as float64
+            "000000000000e03f" "0000000000000000"  # thresholds 0.5, 0.0
+            "0000000000000840"  # offset 3.0
+            "000000000000d03f"  # scale 0.25
+        )
+        loaded = codec.load_projection(path)
+        for name in ("weights", "thresholds", "offset", "scale"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
 
 
 class TestLabelFiles:

@@ -24,6 +24,10 @@ Every name a module lists in ``__all__`` is bound at its top level, by a
 definition, an assignment or an import: a stale entry breaks ``from
 emhash.<module> import *`` although every other use of the module works.
 
+Only ``dataio`` touches binary files: no other module opens a file in a
+binary mode or calls ``read_bytes``/``write_bytes``, so every binary format
+goes through its one frame writer and checked reader.
+
 No module widens a whole similarity block: similarity entries are checked
 without ``np.isin``, whose table method copies its input to int64, and no
 unsliced block is cast to float.  A row or block of rows (a subscript) may
@@ -132,6 +136,62 @@ def test_check_sees_a_stale_all_entry():
     mutant = source.replace('    "build_scale",\n', '    "build_scale",\n    "row_scale",\n', 1)
     assert mutant != source
     assert [entry.split(": ")[1] for entry in stale_all_entries(mutant)] == ["row_scale"]
+
+
+def binary_file_access(source: str) -> list[str]:
+    """``open`` calls with a binary mode, and ``read_bytes``/``write_bytes`` calls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("read_bytes", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            # open(path, mode) as a builtin, path.open(mode) as a method.
+            position = 1 if isinstance(func, ast.Name) else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            modes += node.args[position : position + 1]
+            binary = [m for m in modes if isinstance(m, ast.Constant) and "b" in str(m.value)]
+            if binary:
+                found.append((node.lineno, f"open {ast.unparse(binary[0])}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_dataio_touches_binary_files(path):
+    found = binary_file_access(path.read_text())
+    assert (found != []) if path.name == "dataio.py" else (found == [])
+
+
+def test_check_sees_binary_file_access():
+    source = (
+        "with open(path, 'wb') as fh:\n"
+        "    fh.write(b'x')\n"
+        "raw = Path(path).read_bytes()\n"
+        "out.write_bytes(raw)\n"
+        "with path.open(mode='rb') as fh:\n"
+        "    pass\n"
+        "text = open(path).read()\n"
+        "lines = Path(path).open('r')\n"
+        "Path(path).write_text('x')\n"
+    )
+    assert binary_file_access(source) == [
+        "line 1: open 'wb'",
+        "line 3: read_bytes",
+        "line 4: write_bytes",
+        "line 5: open 'rb'",
+    ]
+    # The package's own module, reading its model file itself again.
+    source = (SRC / "codec.py").read_text()
+    mutant = source.replace(
+        "    p, d, payload = dataio.read_frame(",
+        "    raw = Path(path).read_bytes()\n    p, d, payload = dataio.read_frame(",
+        1,
+    )
+    assert mutant != source
+    assert [entry.split(": ")[1] for entry in binary_file_access(mutant)] == ["read_bytes"]
 
 
 # Names that hold a whole similarity block in the program: the view's ``.s``
