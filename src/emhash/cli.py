@@ -34,7 +34,7 @@ from .energy_models import (
     em_splh_train,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 class CliError(Exception):
@@ -118,17 +118,6 @@ _OPTS: dict[str, list[_Opt]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The validated, fully resolved options of one run."""
-
-    subcommand: str
-    values: dict
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
@@ -163,7 +152,8 @@ def _read_config_file(path: str) -> dict[str, str]:
     return mapping
 
 
-def _resolve(subcommand: str, flag_values: dict, config_path: str | None) -> RunConfig:
+def _resolve(subcommand: str, flag_values: dict, config_path: str | None) -> dict:
+    # The validated, fully resolved options of one run, with its "subcommand".
     opts = _OPTS[subcommand]
     by_key = {o.key: o for o in opts}
     values = {o.key: o.default for o in opts}
@@ -179,7 +169,7 @@ def _resolve(subcommand: str, flag_values: dict, config_path: str | None) -> Run
     for opt in opts:
         if opt.required and values[opt.key] in (None, ""):
             raise CliError(f"missing required option {_flag(opt.key)}")
-    return RunConfig(subcommand=subcommand, values=values)
+    return {"subcommand": subcommand, **values}
 
 
 def _format_value(value) -> str:
@@ -188,14 +178,14 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_manifest(path: Path, cfg: RunConfig, extras: dict) -> None:
-    lines = [f"subcommand={cfg.subcommand}"]
-    lines += [f"{key}={_format_value(cfg.values[key])}" for key in sorted(cfg.values)]
+def _write_manifest(path: Path, cfg: dict, extras: dict) -> None:
+    lines = [f"subcommand={cfg['subcommand']}"]
+    lines += [f"{key}={_format_value(cfg[key])}" for key in sorted(cfg) if key != "subcommand"]
     lines += [f"{key}={extras[key]}" for key in sorted(extras)]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_sidecar_manifest(out_path: str | Path, cfg: RunConfig, extras: dict | None = None) -> Path:
+def _write_sidecar_manifest(out_path: str | Path, cfg: dict, extras: dict | None = None) -> Path:
     # Output files other than a train directory get `<name>.manifest` next to
     # them, so any artifact can be reproduced with --config.
     path = Path(str(out_path) + ".manifest")
@@ -203,7 +193,7 @@ def _write_sidecar_manifest(out_path: str | Path, cfg: RunConfig, extras: dict |
     return path
 
 
-def _load_training_dataset(cfg: RunConfig) -> dataio.Dataset:
+def _load_training_dataset(cfg: dict) -> dataio.Dataset:
     features_path = Path(cfg["features"])
     if not features_path.is_file():
         raise CliError(f"feature file not found: {features_path}")
@@ -219,7 +209,7 @@ def _load_training_dataset(cfg: RunConfig) -> dataio.Dataset:
     return dataio.load_feature_matrix(features_path, "csv", labeled=True)
 
 
-def run_train(cfg: RunConfig) -> int:
+def run_train(cfg: dict) -> int:
     total_start = time.perf_counter()
     # Every value that needs no data is checked before the features are read.
     tcfg = TrainConfig(bits=cfg["bits"], sweeps=cfg["sweeps"], seed=cfg["seed"])
@@ -228,7 +218,7 @@ def run_train(cfg: RunConfig) -> int:
     dataset = _load_training_dataset(cfg)
     if dataset.n < 1:
         raise CliError("training requires at least one point")
-    if dataset.labels is None or all(label is None for label in dataset.labels):
+    if all(label is None for label in dataset.labels):
         raise CliError("training requires labeled points")
 
     if cfg["standardize"]:
@@ -252,13 +242,12 @@ def run_train(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
     else:
-        anchors = cfg["anchors"]
-        if anchors > dataset.n:
-            raise CliError(f"anchor count {anchors} exceeds point count {dataset.n}")
-        view, order = dataio.sample_similarity_columns(dataset, anchors, cfg["seed"])
-        if all(dataset.labels[k] is None for k in order[:anchors]):
+        view, order = dataio.sample_similarity_columns(dataset, cfg["anchors"], cfg["seed"])
+        # A labeled anchor has a nonzero entry in its own label set's row, so s is
+        # all zero exactly when every anchor is unlabeled.
+        if not view.s.any():
             print(
-                f"{method}: 0 of {anchors} anchors are labeled; every similarity to an "
+                f"{method}: 0 of {view.m} anchors are labeled; every similarity to an "
                 "anchor is unobserved, so every code is uninformative (all +1)",
                 file=sys.stderr,
             )
@@ -299,7 +288,7 @@ def run_train(cfg: RunConfig) -> int:
     return 0
 
 
-def run_encode(cfg: RunConfig) -> int:
+def run_encode(cfg: dict) -> int:
     model_path = Path(cfg["model"])
     if not model_path.is_file():
         raise CliError(f"model file not found: {model_path}")
@@ -320,15 +309,11 @@ def run_encode(cfg: RunConfig) -> int:
     return 0
 
 
-def run_eval(cfg: RunConfig) -> int:
+def run_eval(cfg: dict) -> int:
     db_codes = dataio.read_codes(cfg["db_codes"], cfg["codes_format"])
     query_codes = dataio.read_codes(cfg["query_codes"], cfg["codes_format"])
     db_labels = dataio.load_label_file(cfg["db_labels"])
     query_labels = dataio.load_label_file(cfg["query_labels"])
-    if len(db_labels) != db_codes.shape[0]:
-        raise CliError(f"{len(db_labels)} labels for {db_codes.shape[0]} database codes")
-    if len(query_labels) != query_codes.shape[0]:
-        raise CliError(f"{len(query_labels)} labels for {query_codes.shape[0]} query codes")
     result = evaluation.mean_average_precision(
         query_codes, query_labels, db_codes, db_labels, exclude_self=cfg["exclude_self"]
     )
@@ -341,7 +326,7 @@ def run_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def run_linearize(cfg: RunConfig) -> int:
+def run_linearize(cfg: dict) -> int:
     half_range = cfg["linear_range"]
     lin = mean_field.fit_linearization(half_range)
     grid = np.linspace(-half_range, half_range, 20001)
@@ -356,7 +341,7 @@ def run_linearize(cfg: RunConfig) -> int:
     return 0
 
 
-def run_synth(cfg: RunConfig) -> int:
+def run_synth(cfg: dict) -> int:
     dataset = dataio.synthesize_clusters(
         clusters=cfg["clusters"],
         per_cluster=cfg["per_cluster"],

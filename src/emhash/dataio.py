@@ -96,8 +96,10 @@ class Dataset:
         f = np.asarray(self.features, dtype=float)
         if f.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("features contain non-finite values")
+        finite = np.isfinite(f)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"features contain non-finite values (row {row})")
         if self.labels is not None and len(self.labels) != f.shape[0]:
             raise ValueError(
                 f"{len(self.labels)} labels for {f.shape[0]} points"
@@ -142,7 +144,8 @@ def load_feature_matrix(path: str | Path, fmt: str = "csv", labeled: bool = Fals
     ``fmt`` is ``"csv"`` or ``"binary"``.  For CSV, ``labeled=True`` treats
     the final field of each row as a label: an integer class id, a
     semicolon-separated tag list, or empty for an unlabeled point.  The
-    binary format never carries labels.
+    binary format never carries labels.  A :class:`Dataset` refusal, such
+    as a non-finite value, is raised with ``path`` in front.
     """
     path = Path(path)
     if fmt == "binary":
@@ -150,7 +153,7 @@ def load_feature_matrix(path: str | Path, fmt: str = "csv", labeled: bool = Fals
             raise ValueError("the binary matrix format does not carry labels")
         n, p, payload = read_frame(path, MATRIX_MAGIC, "feature matrix", lambda n, p: 4 * n * p)
         values = np.frombuffer(payload, dtype="<f4").astype(float).reshape(n, p)
-        return Dataset(features=values)
+        return _file_dataset(path, values)
     if fmt != "csv":
         raise ValueError(f"unknown feature format {fmt!r}")
     blocks: list[np.ndarray] = []
@@ -184,7 +187,15 @@ def load_feature_matrix(path: str | Path, fmt: str = "csv", labeled: bool = Fals
     if pending:
         blocks.append(_parse_csv_rows(pending, path))
     features = np.concatenate(blocks) if blocks else np.zeros((0, 0))
-    return Dataset(features=features, labels=labels if labeled else None)
+    return _file_dataset(path, features, labels if labeled else None)
+
+
+def _file_dataset(path: Path, features: np.ndarray, labels: list | None = None) -> Dataset:
+    # A Dataset refusal, such as a non-finite value, names the file it came from.
+    try:
+        return Dataset(features=features, labels=labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_csv_rows(pending: list, path: Path) -> np.ndarray:
@@ -285,11 +296,20 @@ def standardize_features(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
     Returns ``(standardized, offset, scale)`` with
     ``standardized = (features - offset) * scale``.  Constant dimensions get
-    scale 0 and map to all-zeros instead of dividing by zero.
+    scale 0 and map to all-zeros instead of dividing by zero.  Raises
+    ``ValueError`` naming the first column whose mean or spread overflows
+    float64.
     """
     features = np.asarray(features, dtype=float)
-    offset = features.mean(axis=0)
-    sd = features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = features.mean(axis=0)
+        sd = features.std(axis=0)
+    finite = np.isfinite(offset) & np.isfinite(sd)
+    if not finite.all():
+        raise ValueError(
+            f"feature column {int(np.argmin(finite))} is too large to standardize: "
+            "its mean or spread overflows float64"
+        )
     safe = np.where(sd > 1e-12, sd, 1.0)
     scale = np.where(sd > 1e-12, 1.0 / safe, 0.0)
     return (features - offset) * scale, offset, scale
@@ -357,8 +377,10 @@ def sample_similarity_columns(dataset: Dataset, m: int, seed: int):
     if dataset.labels is None:
         raise ValueError("anchor sampling requires labels")
     n = dataset.n
-    if not 1 <= m <= n:
-        raise ValueError(f"anchor count must lie in [1, {n}], got {m}")
+    if m < 1:
+        raise ValueError(f"anchor count must be at least 1, got {m}")
+    if m > n:
+        raise ValueError(f"anchor count {m} exceeds point count {n}")
     groups, distinct = group_labels(dataset.labels)
     if len(distinct) * m > MAX_DENSE_ENTRIES:
         raise ValueError(

@@ -143,6 +143,21 @@ def _ksh_coupling(x: np.ndarray) -> np.ndarray:
     return a
 
 
+def _anchor_row(phi: np.ndarray, sim: SimilarityView, anchor: int) -> tuple:
+    # Checked inputs of one anchor row's reference system: the anchor codes
+    # x = 2 * phi[:m] - 1, those of the other anchors, and the row's
+    # similarities to them.
+    m = sim.m
+    if not 0 <= anchor < m:
+        raise IndexError(f"anchor index {anchor} out of range for {m} anchors")
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape[0] < m:
+        raise ValueError(f"need soft codes for all {m} anchors, got {phi.shape[0]} rows")
+    x = 2.0 * phi[:m] - 1.0
+    s_row = np.delete(sim.s[sim.groups[anchor]].astype(float), anchor)
+    return x, np.delete(x, anchor, axis=0), s_row
+
+
 def ksh_anchor_system(
     phi: np.ndarray, sim: SimilarityView, anchor: int, half_range: float
 ) -> RowSystem:
@@ -156,17 +171,8 @@ def ksh_anchor_system(
     carries no similarity factor, which is how missing supervision is
     tolerated without special casing.
     """
-    m = sim.m
-    if not 0 <= anchor < m:
-        raise IndexError(f"anchor index {anchor} out of range for {m} anchors")
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape[0] < m:
-        raise ValueError(f"need soft codes for all {m} anchors, got {phi.shape[0]} rows")
-    bits = phi.shape[1]
-    x = 2.0 * phi[:m] - 1.0
-    others = np.delete(x, anchor, axis=0)
-    s_row = np.delete(sim.s[sim.groups[anchor]].astype(float), anchor)
-    b = float(bits) * (others.T @ s_row)
+    _, others, s_row = _anchor_row(phi, sim, anchor)
+    b = float(others.shape[1]) * (others.T @ s_row)
     return make_system(_ksh_coupling(others), b, half_range)
 
 
@@ -420,11 +426,12 @@ def em_splh_train(
     ``sigma[groups[i], groups[j]]``.  The system is homogeneous by
     construction, so the homogeneous eigenvector path (two extremal
     eigenpairs by Lanczos) on the u-by-u :func:`splh_system`, expanded to
-    the points with the sign that makes its first nonnegligible entry
-    positive, re-normalized and squashed, yields the single shared bit
+    the points, re-normalized and squashed, yields the single shared bit
     column directly; no initialization is involved and every bit column is
-    a copy of it.  Beside the similarity it reads only ``cfg.bits`` and
-    ``lin``.
+    a copy of it.  :func:`~emhash.mean_field.solve_homogeneous` returns the
+    eigenvector with the eigensolver's sign, and this is the one place the
+    sign is fixed: the first point of nonnegligible entry gets a positive
+    one.  Beside the similarity it reads only ``cfg.bits`` and ``lin``.
     """
     groups, sigma = np.asarray(sim[0]), np.asarray(sim[1])
     check_dense_budget(len(sigma))
@@ -477,15 +484,7 @@ def lfh_system(
     at the pivot ``|expected-code inner product|`` for that pair, and the
     linear term carries no code-length factor.
     """
-    m = sim.m
-    if not 0 <= anchor < m:
-        raise IndexError(f"anchor index {anchor} out of range for {m} anchors")
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape[0] < m:
-        raise ValueError(f"need soft codes for all {m} anchors, got {phi.shape[0]} rows")
-    x = 2.0 * phi[:m] - 1.0
-    others = np.delete(x, anchor, axis=0)
-    s_row = np.delete(sim.s[sim.groups[anchor]].astype(float), anchor)
+    x, others, s_row = _anchor_row(phi, sim, anchor)
     a, b = _lfh_build(others, s_row, np.abs(others @ x[anchor]), np.empty_like(others))
     return make_system(a, b, half_range)
 

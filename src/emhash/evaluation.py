@@ -120,12 +120,12 @@ def mean_average_precision(
     """
     query_codes = _as_codes(query_codes)
     db_codes = _as_codes(db_codes)
+    if len(db_labels) != db_codes.shape[0]:
+        raise ValueError(f"{len(db_labels)} labels for {db_codes.shape[0]} database codes")
+    if len(query_labels) != query_codes.shape[0]:
+        raise ValueError(f"{len(query_labels)} labels for {query_codes.shape[0]} query codes")
     if query_codes.shape[1] != db_codes.shape[1]:
         raise ValueError("query and database code lengths differ")
-    if len(query_labels) != query_codes.shape[0]:
-        raise ValueError("one label per query required")
-    if len(db_labels) != db_codes.shape[0]:
-        raise ValueError("one label per database item required")
     if exclude_self and query_codes.shape[0] != db_codes.shape[0]:
         raise ValueError("self-exclusion requires query set == database set")
 

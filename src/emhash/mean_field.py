@@ -15,7 +15,9 @@ Gauss-Legendre rule; its error on the analytic integrands is far below float64
 rounding.  The homogeneous path needs only the two extremal eigenpairs of its
 matrix, which a Lanczos solve finds without forming the whole spectrum: its
 n-length products are ``einsum`` and its k-by-k tridiagonal goes to LAPACK
-``eigh``, so the whole module needs numpy only.
+``eigh``, so the whole module needs numpy only.  Its eigenvector comes back
+with the sign the solve gives: both signs solve a homogeneous system, and the
+caller fixes one.
 
 One row goes through one call, :func:`solve_row`: it forms the scale and the
 ``A ~ 0`` test from one ``|a|``, then takes the uninformative 0.5, the
@@ -89,8 +91,8 @@ LANCZOS_TOL = 1e-12
 # Seed of the Lanczos start vector: the solve is a fixed function of its matrix.
 LANCZOS_SEED = 0
 
-# Rows per block of the infinity-norm and symmetry passes, so neither holds
-# an n-by-n temporary.
+# Rows per block of the Lanczos infinity-norm pass, so it holds no n-by-n
+# temporary.
 _NORM_ROWS = 64
 
 # Gauss-Legendre nodes and weights on [-1, 1] for the linearization integrals.
@@ -224,15 +226,8 @@ def _scales(abs_a: np.ndarray, b: np.ndarray, half_range: float) -> np.ndarray:
 
 
 def is_exactly_symmetric(a: np.ndarray) -> bool:
-    """True iff the square matrix ``a`` equals its transpose entry for entry.
-
-    Compares a fixed block of rows with the matching block of columns at a
-    time, so no temporary of the matrix's size is formed.
-    """
-    return all(
-        np.array_equal(a[k : k + _NORM_ROWS], a[:, k : k + _NORM_ROWS].T)
-        for k in range(0, a.shape[0], _NORM_ROWS)
-    )
+    """True iff the square matrix ``a`` equals its transpose entry for entry."""
+    return np.array_equal(a, a.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,9 +395,9 @@ def solve_homogeneous(a: np.ndarray, scale: float, lin: LinearizedSigmoid) -> np
     lambda_max; over negative ones ``scale/|lambda| + 2*slope`` is least at
     lambda_min.  A tie goes to lambda_min.
 
-    The sign is fixed so the first entry of nonnegligible magnitude is
-    positive (both signs solve the problem; hashing bits are
-    sign-symmetric under Hamming ranking).
+    Both signs of the eigenvector solve the problem, so it is returned with
+    whatever sign the eigensolver gives; a caller that needs a fixed sign
+    fixes it (:func:`~emhash.energy_models.em_splh_train` does, on the points).
     """
     if scale <= 0.0:
         raise ValueError("homogeneous path requires a positive scale")
@@ -412,11 +407,7 @@ def solve_homogeneous(a: np.ndarray, scale: float, lin: LinearizedSigmoid) -> np
     live = np.abs(values) > ZERO_TOL * np.max(np.abs(values))
     cost = np.full(values.shape, np.inf)
     cost[live] = np.abs(scale / values[live] - 2.0 * lin.slope)
-    v = vectors[:, int(np.argmin(cost))]
-    lead = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
-    if v[lead] < 0.0:
-        v = -v
-    return v
+    return vectors[:, int(np.argmin(cost))]
 
 
 def renormalize_and_squash(

@@ -154,7 +154,10 @@ def load_feature_csv_per_field(path: Path, labeled: bool = False) -> Dataset:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     features = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
-    return Dataset(features=features, labels=labels if labeled else None)
+    try:
+        return Dataset(features=features, labels=labels if labeled else None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def group_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

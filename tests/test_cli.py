@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,12 +172,68 @@ class TestTrain:
 
     def test_anchor_count_exceeding_points_fails(self, tmp_path, capsys):
         data = synth(tmp_path, per_cluster=5)
-        code = main([
-            "train", "--features", str(data), "--anchors", "1000",
-            "--out-dir", str(tmp_path / "run"),
-        ])
-        assert code == 1
-        assert "exceeds" in capsys.readouterr().err
+        capsys.readouterr()
+        line = "emhash train: anchor count 1000 exceeds point count 10\n"
+        assert one_line_failure(
+            capsys,
+            ["train", "--features", str(data), "--anchors", "1000",
+             "--out-dir", str(tmp_path / "run")],
+            line,
+        ) == line
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_anchors_is_one_exact_line(self, tmp_path, capsys):
+        data = synth(tmp_path, per_cluster=5)
+        capsys.readouterr()
+        line = "emhash train: anchor count must be at least 1, got 0\n"
+        assert one_line_failure(
+            capsys,
+            ["train", "--features", str(data), "--anchors", "0",
+             "--out-dir", str(tmp_path / "run")],
+            line,
+        ) == line
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("layout", ["csv", "binary"])
+    def test_a_non_finite_feature_names_its_file_and_row(self, tmp_path, capsys, layout):
+        features = np.arange(12.0).reshape(4, 3)
+        features[2, 1] = np.nan
+        labels = tmp_path / "labels.txt"
+        write_label_file(labels, [0, 1, 0, 1])
+        if layout == "csv":
+            data = tmp_path / "nan.csv"
+            write_feature_csv(data, features)
+        else:
+            data = tmp_path / "nan.emh"
+            dataio.write_feature_matrix(data, features)
+        line = f"emhash train: {data}: features contain non-finite values (row 2)\n"
+        assert one_line_failure(
+            capsys,
+            ["train", "--features", str(data), "--features-format", layout,
+             "--labels", str(labels), "--anchors", "2", "--out-dir", str(tmp_path / "run")],
+            line,
+        ) == line
+        assert not (tmp_path / "run").exists()
+
+    def test_a_column_too_large_to_standardize_is_one_line(self, tmp_path, capsys):
+        """Its mean overflows: no numpy warning, one line naming the column, no outputs."""
+        features = np.ones((6, 3))
+        features[:, 1] = [1e308, 9e307] * 3
+        data = tmp_path / "huge.csv"
+        write_feature_csv(data, features, [0, 1] * 3)
+        line = (
+            "emhash train: feature column 1 is too large to standardize: "
+            "its mean or spread overflows float64\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert one_line_failure(
+                capsys,
+                ["train", "--features", str(data), "--anchors", "2",
+                 "--out-dir", str(tmp_path / "run")],
+                line,
+            ) == line
+        assert not (tmp_path / "run").exists()
 
     def test_packed_codes_format(self, tmp_path):
         data = synth(tmp_path)
@@ -269,6 +326,22 @@ class TestEncode:
         )
         assert not out.exists()
 
+    def test_a_non_finite_query_names_its_file_and_row(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        out_dir = train(tmp_path, data)
+        queries = tmp_path / "nan.csv"
+        queries.write_text("1,2,3,4,5,6,7,8\n1,inf,3,4,5,6,7,8\n")
+        capsys.readouterr()
+        out = tmp_path / "enc.txt"
+        line = f"emhash encode: {queries}: features contain non-finite values (row 1)\n"
+        assert one_line_failure(
+            capsys,
+            ["encode", "--model", str(out_dir / "model.emh"), "--queries", str(queries),
+             "--out", str(out)],
+            line,
+        ) == line
+        assert not out.exists() and not Path(f"{out}.manifest").exists()
+
     def test_feature_dimension_mismatch(self, tmp_path, capsys):
         data = synth(tmp_path)
         out_dir = train(tmp_path, data)
@@ -312,6 +385,26 @@ class TestEval:
         ])
         assert code == 1
         assert "labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["database", "query"])
+    def test_label_count_off_on_one_side_is_one_exact_line(self, tmp_path, capsys, side):
+        data = synth(tmp_path)
+        out_dir = train(tmp_path, data)
+        labels = labels_file(tmp_path, data)
+        bad = tmp_path / "bad_labels.txt"
+        bad.write_text("0\n1\n")
+        capsys.readouterr()
+        metrics = tmp_path / "metrics.json"
+        line = f"emhash eval: 2 labels for 120 {side} codes\n"
+        assert one_line_failure(
+            capsys,
+            ["eval", "--db-codes", str(out_dir / "codes.txt"),
+             "--query-codes", str(out_dir / "codes.txt"),
+             "--db-labels", str(bad if side == "database" else labels),
+             "--query-labels", str(bad if side == "query" else labels), "--out", str(metrics)],
+            line,
+        ) == line
+        assert not metrics.exists()
 
 
 def distinct_classes_csv(tmp_path, n):

@@ -1,6 +1,7 @@
 """Tests for file formats, similarity derivation and anchor sampling."""
 
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -79,8 +80,22 @@ class TestCsvLoading:
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,inf\n")
-        with pytest.raises(ValueError, match="finite"):
+        message = f"{path}: features contain non-finite values (row 0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_feature_matrix(path, "csv")
+
+    def test_non_finite_row_counts_points_not_lines(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("1,2,0\n\n3,nan,1\n")
+        message = f"{path}: features contain non-finite values (row 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_feature_matrix(path, "csv", labeled=True)
+
+    def test_dataset_names_the_first_non_finite_row(self):
+        features = np.zeros((5, 3))
+        features[3, 2], features[4, 0] = -np.inf, np.nan
+        with pytest.raises(ValueError, match=r"^features contain non-finite values \(row 3\)$"):
+            Dataset(features)
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -308,6 +323,17 @@ FRAMED_FORMATS = {
 }
 
 
+class TestBinaryMatrixRefusals:
+    def test_non_finite_names_the_file_and_row(self, tmp_path):
+        features = np.ones((3, 2))
+        features[2, 0] = np.nan
+        path = tmp_path / "nan.emh"
+        write_feature_matrix(path, features)
+        message = f"{path}: features contain non-finite values (row 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_feature_matrix(path, "binary")
+
+
 class TestBinaryFrame:
     """The three binary formats share one frame and its checks."""
 
@@ -435,6 +461,29 @@ class TestStandardize:
         np.testing.assert_array_equal(standardized[:, 1], np.zeros(5))
         assert scale[1] == 0.0
 
+    @pytest.mark.parametrize("column", [
+        [1e308, 9e307] * 3,  # the mean overflows
+        [1e200, 1.1e200] * 3,  # only the spread overflows
+        [-1.7e308, 1.7e308, 1.7e308] * 2,
+    ])
+    def test_a_column_whose_mean_or_spread_overflows_is_refused(self, column):
+        features = np.ones((6, 3))
+        features[:, 2] = column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                "^feature column 2 is too large to standardize: "
+                "its mean or spread overflows float64$"
+            )):
+                standardize_features(features)
+
+    def test_large_finite_columns_still_standardize(self):
+        features = np.column_stack([np.array([1e150, -1e150, 3e150]), np.arange(3.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            standardized, _, _ = standardize_features(features)
+        assert np.all(np.isfinite(standardized))
+
 
 class TestSimilarity:
     def test_class_semantics(self):
@@ -552,8 +601,32 @@ class TestAnchorSampling:
 
     def test_too_many_anchors(self):
         dataset = Dataset(np.zeros((4, 1)), [0, 1, 0, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^anchor count 5 exceeds point count 4$"):
             sample_similarity_columns(dataset, 5, seed=0)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_fewer_than_one_anchor(self, m):
+        dataset = Dataset(np.zeros((4, 1)), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match=f"^anchor count must be at least 1, got {m}$"):
+            sample_similarity_columns(dataset, m, seed=0)
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=1, max_size=40),
+            st.lists(st.one_of(st.none(), st.frozensets(st.integers(0, 5), min_size=1,
+                                                        max_size=3)), min_size=1, max_size=40),
+            st.lists(LABELS, min_size=1, max_size=40),
+        ),
+        st.data(),
+    )
+    def test_view_is_all_zero_exactly_when_every_anchor_is_unlabeled(self, labels, data):
+        """A labeled anchor is similar or dissimilar to its own label set."""
+        m = data.draw(st.integers(1, len(labels)))
+        view, order = sample_similarity_columns(
+            Dataset(np.zeros((len(labels), 1)), labels), m, data.draw(st.integers(0, 9))
+        )
+        assert (not view.s.any()) == all(labels[k] is None for k in order[:m])
 
 
 class TestGrouping:

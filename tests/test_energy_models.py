@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emhash import energy_models
+from emhash import energy_models, mean_field
 from emhash.codec import round_codes
 from emhash.dataio import (
     Dataset,
@@ -565,6 +565,35 @@ class TestSplh:
         phi = em_splh_train(splh_factors(s), TrainConfig(bits=3, sweeps=1, seed=0), LIN)
         for k in range(3):
             np.testing.assert_array_equal(phi[:, k], expected)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_full_similarity(np.random.default_rng(12), 8),
+        lambda: random_full_similarity(np.random.default_rng(37), 6),
+        lambda: full_similarity([2, 0, 1, 0, None, 2, 1, frozenset({0, 1}), 0]),
+        lambda: full_similarity([0] * 5 + [1] * 7),
+    ], ids=["random-8", "random-6", "mixed-labels", "two-classes"])
+    def test_one_sign_rule_governs(self, monkeypatch, make):
+        """em_splh_train fixes the sign: an eigensolver that returns every vector
+        negated flips solve_homogeneous's answer but leaves the codes byte for byte."""
+        s = make()
+        _, sigma, sizes = factored(s)
+        a, scale = splh_system(sigma, sizes, 2.0)
+        cfg = TrainConfig(bits=3, sweeps=1, seed=0)
+        direction = solve_homogeneous(a, scale, LIN)
+        expected = em_splh_train(splh_factors(s), cfg, LIN)
+        # Not constant, so codes from the unfixed, negated vector would differ.
+        assert len(np.unique(expected[:, 0])) > 1
+        calls = []
+
+        def negated(matrix):
+            calls.append(matrix.shape)
+            values, vectors = extremal_eigenpairs(matrix)
+            return values, -vectors
+
+        monkeypatch.setattr(mean_field, "extremal_eigenpairs", negated)
+        np.testing.assert_array_equal(solve_homogeneous(a, scale, LIN), -direction)
+        assert em_splh_train(splh_factors(s), cfg, LIN).tobytes() == expected.tobytes()
+        assert len(calls) == 2
 
     def test_all_bit_columns_identical(self):
         rng = np.random.default_rng(12)

@@ -182,6 +182,20 @@ def _label_pool(kind, rng, n):
 
 
 class TestMeanAveragePrecision:
+    def test_refusals_come_database_labels_then_query_labels_then_code_length(self):
+        three = np.ones((3, 4), dtype=np.int8)
+        two_short = np.ones((2, 5), dtype=np.int8)
+        cases = [
+            ((three, [0] * 3, three, [0] * 2), "^2 labels for 3 database codes$"),
+            ((three, [0] * 4, three, [0] * 3), "^4 labels for 3 query codes$"),
+            ((three, [0] * 4, three, [0] * 2), "^2 labels for 3 database codes$"),
+            ((two_short, [0], three, [0] * 3), "^1 labels for 2 query codes$"),
+            ((two_short, [0] * 2, three, [0] * 3), "^query and database code lengths differ$"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                mean_average_precision(*args)
+
     @pytest.mark.parametrize("kind", ["class", "tags", "partly-unlabeled"])
     @pytest.mark.parametrize("exclude_self", [False, True])
     def test_per_query_ap_matches_scalar_oracle(self, kind, exclude_self):

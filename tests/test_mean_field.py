@@ -320,18 +320,6 @@ class TestSolveHomogeneous:
         v = solve_homogeneous(sys.a, sys.scale, LinearizedSigmoid(2.0, 0.2109, 0.5))
         np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-12)
 
-    def test_sign_convention(self):
-        rng = np.random.default_rng(17)
-        lin = fit_linearization(2.0)
-        for _ in range(20):
-            d = int(rng.integers(2, 9))
-            a = rng.normal(size=(d, d))
-            a = np.triu(a) + np.triu(a, 1).T
-            v = solve_homogeneous(a, build_scale(a, np.zeros(d), 2.0), lin)
-            lead = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
-            assert v[lead] > 0.0
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
     def test_matches_minimum_singular_direction_oracle(self):
         """Top eigenvector equals the least-moved direction of the inverse form."""
         rng = np.random.default_rng(19)
